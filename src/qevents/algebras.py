@@ -10,12 +10,14 @@ use a singular-value cutoff relative to the largest singular value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvariantViolation
-from .operators import adjoint, as_operator, operator_to_json, operator_from_json
+from .operators import (DEGENERACY_TOL, adjoint, as_operator, operator_norm,
+                        operator_to_json, operator_from_json, spectral_decompose)
 
 # Relative singular-value cutoff for rank decisions.
 RANK_RCOND = 1e-10
@@ -34,6 +36,7 @@ __all__ = [
     "contains",
     "commutant",
     "center",
+    "minimal_projections",
     "is_maximal_abelian",
     "equal_span",
     "algebra_to_json",
@@ -63,7 +66,13 @@ def _orthonormal_rows(rows: np.ndarray, rcond: float = RANK_RCOND) -> np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class FiniteAlgebra:
-    """Span of a Hilbert-Schmidt orthonormal family of dim x dim matrices."""
+    """Span of a Hilbert-Schmidt orthonormal family of dim x dim matrices.
+
+    Structure that depends on the span alone is computed on first use and
+    cached on the instance with ``functools.cached_property``; the basis is
+    fixed at construction, so a cached value never goes stale.  Currently
+    cached: ``minimal_central_projections``.
+    """
 
     dim: int
     basis: tuple[np.ndarray, ...]
@@ -84,6 +93,16 @@ class FiniteAlgebra:
     def algebra_dim(self) -> int:
         """Linear dimension of the span."""
         return len(self.basis)
+
+    @cached_property
+    def minimal_central_projections(self) -> tuple[np.ndarray, ...]:
+        """Minimal projections of the center, the z_i of A = (+)_i M_{n_i} (x) 1_{m_i}.
+
+        The full matrix algebra is a factor: its only one is the identity.
+        """
+        if self.algebra_dim == self.dim * self.dim:
+            return (np.eye(self.dim, dtype=complex),)
+        return minimal_projections(center(self))
 
     @classmethod
     def from_span(cls, ops, dim: int | None = None, validate: bool = True,
@@ -205,7 +224,9 @@ def commutant(algebra: FiniteAlgebra, rcond: float = RANK_RCOND) -> FiniteAlgebr
         # row-major vec: vec(BX - XB) = (B (x) 1 - 1 (x) B^T) vec(X)
         blocks.append(np.kron(B, eye) - np.kron(eye, B.T))
     M = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(M)
+    # M has at least as many rows as columns, so the thin vh is still square
+    # and spans all of C^(d^2); the full U would be (m d^2)^2 entries
+    _, s, vh = np.linalg.svd(M, full_matrices=False)
     # floor the reference scale at 1: the basis is HS-normalized, so an
     # all-noise constraint matrix (everything commutes) must have rank 0
     cutoff = rcond * max(s[0], 1.0) if s.size else 0.0
@@ -239,6 +260,39 @@ def center(algebra: FiniteAlgebra, rcond: float = RANK_RCOND) -> FiniteAlgebra:
     if inter.shape[0] == 0:
         raise InvariantViolation("center computation produced an empty span")
     return FiniteAlgebra(algebra.dim, _unvec(inter, algebra.dim), True)
+
+
+def minimal_projections(algebra: FiniteAlgebra,
+                        degeneracy_tol: float = DEGENERACY_TOL,
+                        tol: float = SPAN_TOL) -> tuple[np.ndarray, ...]:
+    """Minimal projections of an abelian algebra containing the identity.
+
+    A generic Hermitian element of the algebra separates the atoms; its
+    clustered eigenprojections are exactly the minimal projections.  The
+    draw is retried with fresh deterministic coefficients if an unlucky
+    combination merges two atoms.
+    """
+    m = algebra.algebra_dim
+    herms = []
+    for B in algebra.basis:
+        herms.append((B + adjoint(B)) / 2.0)
+        herms.append((B - adjoint(B)) / 2.0j)
+    for A in algebra.basis:
+        for B in algebra.basis:
+            if operator_norm(A @ B - B @ A) > tol:
+                raise InvariantViolation("minimal projections need an abelian algebra")
+    rows = _vec(algebra.basis)
+    for attempt in range(8):
+        rng = np.random.default_rng(attempt)
+        G = np.zeros((algebra.dim, algebra.dim), dtype=complex)
+        for c, H in zip(rng.standard_normal(len(herms)), herms):
+            G += c * H
+        dec = spectral_decompose(G, degeneracy_tol=degeneracy_tol)
+        if len(dec.projections) != m:
+            continue
+        if all(_span_residual_single(rows, P) <= tol for P in dec.projections):
+            return dec.projections
+    raise InvariantViolation("could not resolve the minimal projections")
 
 
 def equal_span(a: FiniteAlgebra, b: FiniteAlgebra, tol: float = SPAN_TOL) -> tuple[bool, float]:

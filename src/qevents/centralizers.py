@@ -2,8 +2,14 @@
 
 Given a state on an ambient algebra, the centralizer is the set of elements
 the state cannot distinguish order on (the functional kills every commutator
-against them).  Working with the in-algebra representative of the state makes
-this an exact relative-commutant computation, and both conditional
+against them).  In terms of the state's in-span representative Q it is the
+relative commutant of Q in the ambient, which is known in closed form.
+Write the ambient as A = (+)_i M_{n_i} (x) 1_{m_i} with minimal central
+projections z_i, and let E_l be the clustered eigenprojections of Q.  Then
+the centralizer is the pinching of A, sum_l E_l A E_l, and the minimal
+projections of its center are the nonzero products z_i E_l.  Detection
+therefore costs one eigendecomposition of Q per state plus the z_i, which
+depend on the ambient alone and are cached on it.  Both conditional
 expectations (onto the centralizer by pinching, onto the center by weighted
 block averages) stay inside the ambient span by construction.
 """
@@ -11,16 +17,18 @@ block averages) stay inside the ambient span by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvariantViolation
-from .algebras import (FiniteAlgebra, SPAN_TOL, RANK_RCOND, _vec, _unvec,
-                       _orthonormal_rows, _span_residual_single, center, contains)
+from .algebras import (FiniteAlgebra, SPAN_TOL, _vec, _span_residual_single,
+                       contains, minimal_projections)
 from .operators import (DEFAULT_TOL, DEGENERACY_TOL, DensityState,
                         PartitionOfUnity, SpectralDecomposition, adjoint,
-                        as_operator, operator_norm, spectral_decompose)
+                        as_operator, operator_norm, spectral_decompose,
+                        validate_projection_family)
 
 __all__ = [
     "CentralizerReport",
@@ -41,13 +49,29 @@ class CentralizerReport:
     ``state_spectral`` is the clustered spectral decomposition of the
     density matrix restricted to the ambient algebra (its in-span
     representative).  ``central_projections`` are the minimal projections of
-    the center, the atoms used by ``expect_onto_center``.
+    the center, the atoms used by ``expect_onto_center``.  The
+    ``centralizer`` and ``center`` algebras are built on first use and
+    cached, since detection needs only the atoms.
     """
 
-    centralizer: FiniteAlgebra
-    center: FiniteAlgebra
+    ambient: FiniteAlgebra
     state_spectral: SpectralDecomposition
     central_projections: tuple[np.ndarray, ...]
+
+    @cached_property
+    def centralizer(self) -> FiniteAlgebra:
+        """The pinched ambient, spanned by sum_l E_l B E_l over its basis B."""
+        basis = np.stack(self.ambient.basis)
+        pinched = sum(E @ basis @ E for E in self.state_spectral.projections)
+        return FiniteAlgebra.from_span(pinched, dim=self.ambient.dim, validate=False)
+
+    @cached_property
+    def center(self) -> FiniteAlgebra:
+        """The span of the atoms, each scaled to unit Hilbert-Schmidt norm."""
+        return FiniteAlgebra(self.ambient.dim,
+                             tuple(z / np.sqrt(np.trace(z).real)
+                                   for z in self.central_projections),
+                             True)
 
 
 def ambient_representative(ambient: FiniteAlgebra, state: DensityState) -> np.ndarray:
@@ -74,63 +98,24 @@ def centralizer(ambient: FiniteAlgebra, state: DensityState,
                 degeneracy_tol: float = DEGENERACY_TOL) -> CentralizerReport:
     """Centralizer report of a state on an ambient algebra.
 
-    The centralizer is computed as the relative commutant of the state's
-    in-span representative Q: A in the span belongs iff [Q, A] = 0, which is
-    equivalent to the vanishing of the state on all commutators.
+    The atoms of the center are the nonzero products z_i E_l of the
+    ambient's minimal central projections with the clustered
+    eigenprojections of the state's in-span representative Q; eigenvalues
+    of Q within ``degeneracy_tol`` share one atom.
     """
     if not ambient.contains_identity:
         raise InvariantViolation("ambient algebra must contain the identity")
     Q = ambient_representative(ambient, state)
-    d = ambient.dim
-    cols = np.stack([(Q @ E - E @ Q).reshape(-1) for E in ambient.basis], axis=1)
-    _, s, vh = np.linalg.svd(cols)
-    # reference scale floored at 1 (orthonormal basis, trace-one state):
-    # when Q commutes with everything the whole column stack is noise and
-    # the nullspace must be the full span
-    cutoff = RANK_RCOND * max(s[0], 1.0) if s.size else 0.0
-    rank = int(np.sum(s > cutoff))
-    null_coeff = vh[rank:].conj()
-    if null_coeff.shape[0] == 0:
-        raise InvariantViolation("centralizer is empty, which cannot happen")
-    cent_rows = null_coeff @ _vec(ambient.basis)
-    cent = FiniteAlgebra(d, _unvec(_orthonormal_rows(cent_rows), d), True)
-    cent_center = center(cent)
-    atoms = minimal_projections(cent_center, degeneracy_tol=degeneracy_tol)
     spectral = spectral_decompose(Q, degeneracy_tol=degeneracy_tol, tol=max(tol, 1e-8))
-    return CentralizerReport(cent, cent_center, spectral, atoms)
-
-
-def minimal_projections(algebra: FiniteAlgebra,
-                        degeneracy_tol: float = DEGENERACY_TOL,
-                        tol: float = SPAN_TOL) -> tuple[np.ndarray, ...]:
-    """Minimal projections of an abelian algebra containing the identity.
-
-    A generic Hermitian element of the algebra separates the atoms; its
-    clustered eigenprojections are exactly the minimal projections.  The
-    draw is retried with fresh deterministic coefficients if an unlucky
-    combination merges two atoms.
-    """
-    m = algebra.algebra_dim
-    herms = []
-    for B in algebra.basis:
-        herms.append((B + adjoint(B)) / 2.0)
-        herms.append((B - adjoint(B)) / 2.0j)
-    for A in algebra.basis:
-        for B in algebra.basis:
-            if operator_norm(A @ B - B @ A) > tol:
-                raise InvariantViolation("minimal projections need an abelian algebra")
-    rows = _vec(algebra.basis)
-    for attempt in range(8):
-        rng = np.random.default_rng(attempt)
-        G = np.zeros((algebra.dim, algebra.dim), dtype=complex)
-        for c, H in zip(rng.standard_normal(len(herms)), herms):
-            G += c * H
-        dec = spectral_decompose(G, degeneracy_tol=degeneracy_tol)
-        if len(dec.projections) != m:
-            continue
-        if all(_span_residual_single(rows, P) <= tol for P in dec.projections):
-            return dec.projections
-    raise InvariantViolation("could not resolve the minimal projections")
+    zs = ambient.minimal_central_projections
+    if len(zs) == 1:
+        # a factor: z = 1 and the eigenprojections are the atoms
+        atoms = spectral.projections
+    else:
+        products = (z @ E for z in zs for E in spectral.projections)
+        atoms = tuple(P for P in products if np.trace(P).real > 0.5)
+        validate_projection_family(atoms, complete=True)
+    return CentralizerReport(ambient, spectral, atoms)
 
 
 class PinchInfo(NamedTuple):

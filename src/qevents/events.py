@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,6 +60,9 @@ class HeisenbergFrame:
     ``None`` entry stands for unrestricted access (the full matrix algebra,
     materialized lazily only when detection asks for it, so large frames used
     purely for history evaluation never pay for it).
+
+    Derived data is cached on the instance with ``functools.cached_property``:
+    currently ``full_ambient``.
     """
 
     times: tuple[float, ...]
@@ -127,6 +131,11 @@ class HeisenbergFrame:
     @property
     def dim(self) -> int:
         return self.propagators[0].shape[0]
+
+    @cached_property
+    def full_ambient(self) -> FiniteAlgebra:
+        """The full matrix algebra, standing in for ``None`` restrictions."""
+        return full_matrix_algebra(self.dim)
 
     @classmethod
     def build(cls, times, partitions, propagators=None, step_propagator=None,
@@ -197,13 +206,7 @@ class HeisenbergFrame:
 def _ambient(frame: HeisenbergFrame, k: int) -> FiniteAlgebra:
     """Restriction algebra at step k, materializing full access on demand."""
     R = frame.restrictions[k]
-    if R is not None:
-        return R
-    amb = getattr(frame, "_full_ambient", None)
-    if amb is None:
-        amb = full_matrix_algebra(frame.dim)
-        object.__setattr__(frame, "_full_ambient", amb)
-    return amb
+    return frame.full_ambient if R is None else R
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
-"""Shared random generators for the test suite.
+"""Shared random generators and reference oracles for the test suite.
 
 Everything is driven by explicit ``numpy`` Generators so failures
 reproduce; tests derive their generator from a frozen seed.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
-from qevents import DensityState, PartitionOfUnity, substream
+from qevents import (RANK_RCOND, DensityState, FiniteAlgebra, PartitionOfUnity,
+                     ambient_representative, center, minimal_projections, substream)
+from qevents.algebras import _orthonormal_rows, _unvec, _vec
 
 
 def rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -56,3 +60,43 @@ def random_partition(gen: np.random.Generator, dim: int, blocks: int,
         U = random_unitary(gen, dim)
         projs = [U.conj().T @ P @ U for P in projs]
     return PartitionOfUnity(tuple(range(len(projs))), tuple(projs))
+
+
+def block_algebra() -> FiniteAlgebra:
+    """M_2 (+) C on C^3: two minimal central projections, of ranks 2 and 1."""
+    units = []
+    for i, j in [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]:
+        E = np.zeros((3, 3), dtype=complex)
+        E[i, j] = 1.0
+        units.append(E)
+    return FiniteAlgebra.from_span(units)
+
+
+class ReferenceCentralizer(NamedTuple):
+    centralizer: FiniteAlgebra
+    center: FiniteAlgebra
+    central_projections: tuple[np.ndarray, ...]
+
+
+def reference_centralizer(ambient: FiniteAlgebra, state: DensityState) -> ReferenceCentralizer:
+    """Centralizer, its center and the center's atoms by generic linear algebra.
+
+    The test oracle for ``qevents.centralizer``: the centralizer is the
+    nullspace of A -> [Q, A] on the ambient span (Q the state's in-span
+    representative), its center comes from ``center`` and the atoms from
+    ``minimal_projections``.  Duck-types as a report for
+    ``expect_onto_center``.
+    """
+    Q = ambient_representative(ambient, state)
+    d = ambient.dim
+    cols = np.stack([(Q @ E - E @ Q).reshape(-1) for E in ambient.basis], axis=1)
+    _, s, vh = np.linalg.svd(cols)
+    # reference scale floored at 1 (orthonormal basis, trace-one state):
+    # when Q commutes with everything the whole column stack is noise and
+    # the nullspace must be the full span
+    cutoff = RANK_RCOND * max(s[0], 1.0) if s.size else 0.0
+    null_coeff = vh[int(np.sum(s > cutoff)):].conj()
+    cent_rows = null_coeff @ _vec(ambient.basis)
+    cent = FiniteAlgebra(d, _unvec(_orthonormal_rows(cent_rows), d), True)
+    cent_center = center(cent)
+    return ReferenceCentralizer(cent, cent_center, minimal_projections(cent_center))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from qevents import (FiniteAlgebra, InvariantViolation, algebra_from_json,
                      diagonal_algebra, equal_span, full_matrix_algebra,
                      generate_algebra, is_maximal_abelian, minimal_projections)
 
-from _helpers import random_hermitian, random_unitary, rng
+from _helpers import block_algebra, random_hermitian, random_unitary, rng
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -142,6 +144,33 @@ class TestMinimalProjections:
         atoms = minimal_projections(Z)
         traces = sorted(np.trace(P).real for P in atoms)
         np.testing.assert_allclose(traces, [1.0, 2.0], atol=1e-9)
+
+
+class TestMinimalCentralProjections:
+    def test_full_algebra_is_a_factor(self):
+        zs = full_matrix_algebra(3).minimal_central_projections
+        assert len(zs) == 1
+        np.testing.assert_array_equal(zs[0], np.eye(3))
+
+    def test_block_algebra_atoms_are_cached(self):
+        A = block_algebra()
+        zs = A.minimal_central_projections
+        assert A.minimal_central_projections is zs
+        traces = sorted(np.trace(P).real for P in zs)
+        np.testing.assert_allclose(traces, [1.0, 2.0], atol=1e-9)
+
+
+class TestCommutantMemory:
+    def test_center_of_full_8_fits_in_32_mb(self):
+        A = full_matrix_algebra(8)
+        tracemalloc.start()
+        try:
+            Z = center(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert Z.algebra_dim == 1
+        assert peak < 32 * 2**20
 
 
 class TestJsonRoundTrip:

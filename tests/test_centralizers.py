@@ -1,12 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qevents import (DensityState, InvariantViolation, PartitionOfUnity,
+import qevents.algebras
+import qevents.centralizers
+from qevents import (DensityState, HeisenbergFrame,
+                     InvariantViolation, PartitionOfUnity,
                      ambient_representative, centralizer, diagonal_algebra,
                      equal_span, expect_onto_center, expect_onto_centralizer,
-                     full_matrix_algebra, incoherence_defect, operator_norm)
+                     full_matrix_algebra, generate_algebra, incoherence_defect,
+                     operator_norm, run_trajectory)
 
-from _helpers import random_density, random_hermitian, random_unitary, rng
+from _helpers import (block_algebra, random_density, random_hermitian, random_partition,
+                      random_unitary, reference_centralizer, rng)
 
 M2 = full_matrix_algebra(2)
 E11 = np.diag([1.0, 0.0]).astype(complex)
@@ -176,3 +185,115 @@ class TestUnitaryCovariance:
         for P in rotated:
             best = min(operator_norm(P - Qp) for Qp in rep_moved.central_projections)
             assert best < 1e-7
+
+
+def _block_generated_algebra(gen, dim):
+    """Conjugated algebra (+)_b M_{n_b} (x) 1_{m_b} generated by two random elements."""
+    sizes, remaining = [], dim
+    while remaining:
+        m = 2 if remaining >= 2 and gen.random() < 0.3 else 1
+        n = int(gen.integers(1, remaining // m + 1))
+        sizes.append((n, m))
+        remaining -= n * m
+    U = random_unitary(gen, dim)
+    gens = []
+    for _ in range(2):
+        G = np.zeros((dim, dim), dtype=complex)
+        at = 0
+        for n, m in sizes:
+            G[at:at + n * m, at:at + n * m] = np.kron(random_hermitian(gen, n), np.eye(m))
+            at += n * m
+        gens.append(U.conj().T @ G @ U)
+    return generate_algebra(gens)
+
+
+def _random_ambient(gen, kind, dim):
+    if kind == "full":
+        return full_matrix_algebra(dim)
+    if kind == "diagonal":
+        return diagonal_algebra(dim)
+    return _block_generated_algebra(gen, dim)
+
+
+class TestClosedFormAgainstGenericOracle:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dim=st.integers(2, 6), kind=st.sampled_from(["full", "diagonal", "generated"]),
+           seed=st.integers(0, 2**32 - 1), deficient=st.booleans())
+    def test_report_matches_the_svd_nullspace_path(self, dim, kind, seed, deficient):
+        gen = rng(seed)
+        ambient = _random_ambient(gen, kind, dim)
+        state = random_density(gen, dim, rank=int(gen.integers(1, dim)) if deficient else None)
+        rep = centralizer(ambient, state)
+        ref = reference_centralizer(ambient, state)
+
+        assert len(rep.central_projections) == len(ref.central_projections)
+        matched = [int(np.argmin([operator_norm(P - R) for R in ref.central_projections]))
+                   for P in rep.central_projections]
+        assert sorted(matched) == list(range(len(matched)))
+        for P, j in zip(rep.central_projections, matched):
+            assert operator_norm(P - ref.central_projections[j]) <= 1e-9
+
+        coeff = gen.standard_normal(ambient.algebra_dim)
+        A = sum(c * B for c, B in zip(coeff, ambient.basis))
+        for X in (A, A.conj().T @ A, np.eye(dim, dtype=complex)):
+            fast = expect_onto_center(ambient, state, X, report=rep, check_ambient=False)
+            slow = expect_onto_center(ambient, state, X, report=ref, check_ambient=False)
+            assert operator_norm(fast - slow) <= 1e-9
+
+        assert equal_span(rep.centralizer, ref.centralizer)[0]
+        assert equal_span(rep.center, ref.center)[0]
+
+
+def _near_degenerate_state(seed, gap):
+    U = random_unitary(rng(seed), 3)
+    return DensityState(U @ np.diag([0.3 - gap / 2, 0.3 + gap / 2, 0.4]) @ U.conj().T)
+
+
+class TestNearDegenerateStates:
+    # Eigenvalues closer than DEGENERACY_TOL (1e-8) share one atom, so the
+    # atoms must not depend on a separate rank cutoff near that gap.
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("gap, atoms, cent_dim", [(1e-7, 3, 3), (1e-9, 2, 5), (1e-10, 2, 5)])
+    def test_atoms_follow_degeneracy_clustering(self, seed, gap, atoms, cent_dim):
+        rep = centralizer(full_matrix_algebra(3), _near_degenerate_state(seed, gap))
+        assert len(rep.central_projections) == atoms
+        assert rep.centralizer.algebra_dim == cent_dim
+        assert rep.center.algebra_dim == atoms
+
+    @pytest.mark.parametrize("gap", [1e-7, 1e-9, 1e-10])
+    def test_detection_gated_trajectory_completes(self, gap):
+        gen = rng(83)
+        frame = HeisenbergFrame.build(times=(1.0, 2.0, 3.0),
+                                      partitions=random_partition(gen, 3, 2),
+                                      step_propagator=random_unitary(gen, 3))
+        result = run_trajectory(frame, _near_degenerate_state(0, gap),
+                                rng_seed=5, require_detection=True)
+        assert len(result.branch_log) == 3
+
+
+class TestClosedFormCost:
+    def test_detection_skips_the_generic_path(self, monkeypatch):
+        ambient = block_algebra()
+        ambient.minimal_central_projections   # once per ambient, not per state
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("generic commutant/center path used")
+
+        for name in ("commutant", "center", "minimal_projections"):
+            monkeypatch.setattr(qevents.algebras, name, forbidden)
+        monkeypatch.setattr(qevents.centralizers, "minimal_projections", forbidden)
+        state = random_density(rng(89), 3)
+        assert len(centralizer(ambient, state).central_projections) == 3
+        assert len(centralizer(full_matrix_algebra(3), state).central_projections) == 3
+
+    def test_dimension_16_stays_small(self):
+        ambient = full_matrix_algebra(16)
+        state = random_density(rng(97), 16)
+        tracemalloc.start()
+        try:
+            rep = centralizer(ambient, state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rep.central_projections) == 16
+        assert peak < 16 * 2**20
