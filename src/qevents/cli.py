@@ -25,13 +25,12 @@ import numpy as np
 
 from .algebras import FiniteAlgebra, diagonal_algebra
 from .errors import InvariantViolation
-from .events import HeisenbergFrame, earliest_event, detect_event, run_trajectory
+from .events import HeisenbergFrame, _sample_paths, earliest_event, detect_event
 from .histories import MeasurementProtocol, consistency_check, lsw_probability
 from .mesoscopic import (CLASSIFICATION_EXPONENT, DECAY_EXPONENT, LN2,
                          ClassificationBand, DeFinettiModel,
                          born_rule_experiment, detection_time, log_band_mass,
-                         posterior_entropies, relative_entropy,
-                         sample_protocols)
+                         posterior_entropies, relative_entropy)
 from .operators import DensityState, PartitionOfUnity
 from .seeding import substream
 
@@ -317,30 +316,37 @@ def cmd_trajectory(cfg: dict, seed: int):
     require_detection = bool(run.get("require_detection", True))
     keep = int(run.get("keep_histories", 10))
 
+    # sample i keeps its own stream: its j-th event takes the j-th uniform of
+    # substream(seed, i), whatever the other samples draw
+    uniforms = np.array([substream(seed, i).random(len(frame.times)) for i in range(samples)])
     counts: dict = {}
+    first: dict = {}        # outcome -> (sample, event index) where it first occurs
     events_total = 0
-    kept = []
-    for i in range(samples):
-        result = run_trajectory(frame, initial, safety=safety, record_policy=policy,
-                                rng_seed=substream(seed, i),
-                                require_detection=require_detection)
-        for rec in result.history:
-            counts[rec.outcome] = counts.get(rec.outcome, 0) + 1
-            events_total += 1
-        if i < keep:
-            kept.append([{"time": r.time, "outcome": r.outcome,
-                          "probability": r.probability, "recorded": r.recorded}
-                         for r in result.history])
+    kept: dict = {}
+    for path in _sample_paths(frame, initial, samples, lambda members, j: uniforms[members, j],
+                              safety=safety, record_policy=policy,
+                              require_detection=require_detection):
+        n, lead = path.members.size, int(path.members[0])
+        for e, rec in enumerate(path.history):
+            counts[rec.outcome] = counts.get(rec.outcome, 0) + n
+            first[rec.outcome] = min(first.get(rec.outcome, (lead, e)), (lead, e))
+        events_total += len(path.history) * n
+        for i in path.members[:np.searchsorted(path.members, keep)].tolist():
+            kept[i] = [{"time": r.time, "outcome": r.outcome,
+                        "probability": r.probability, "recorded": r.recorded}
+                       for r in path.history]
 
+    # labels whose str() ties keep the order of their first occurrence, as
+    # in a sample-by-sample tally
     hist_rows = [{"outcome": lab, "count": c,
                   "fraction": c / events_total if events_total else None}
-                 for lab, c in sorted(counts.items(), key=lambda kv: str(kv[0]))]
+                 for lab, c in sorted(counts.items(), key=lambda kv: (str(kv[0]), first[kv[0]]))]
     payload = {
         "schema": SCHEMA, "command": "trajectory", "seed": seed,
         "samples": samples, "record_policy": policy,
         "require_detection": require_detection,
         "events_total": events_total, "histogram": hist_rows,
-        "histories": kept,
+        "histories": [kept[i] for i in sorted(kept)],
     }
     return payload, ["outcome", "count", "fraction"], hist_rows, EXIT_OK
 
@@ -408,10 +414,9 @@ def cmd_mesoscopic(cfg: dict, seed: int):
             raise ConfigError(f"run.n_values: n={n} unusable ({exc})") from None
         entropy_by_nu: dict[int, float | None] = {nu: None for nu in range(H)}
         if count:
-            sample = sample_protocols(model, n, count, seed)
-            ents = posterior_entropies(model, sample)
+            ents = posterior_entropies(model, exp.sample)
             for nu in range(H):
-                mask = sample.latent == nu
+                mask = exp.sample.latent == nu
                 if mask.any():
                     entropy_by_nu[nu] = float(ents[mask].mean())
         for nu in range(H):

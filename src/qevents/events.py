@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -423,127 +423,106 @@ def run_trajectory(frame: HeisenbergFrame, initial: DensityState,
     With ``require_detection=False`` the detection criterion is bypassed and
     a projective step is taken at every time; this is the reading under
     which trajectory sampling reproduces the sequential history measure.
+
+    Exactly one uniform is drawn from the generator per fired time, in time
+    order, so a caller-supplied generator advances by the number of events.
     """
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else substream(int(rng_seed))
+    (path,) = _sample_paths(frame, initial, 1, lambda members, j: rng.random(members.size),
+                            safety, record_policy, require_detection, tol)
+    return TrajectoryResult(path.history, DensityState(path.state), path.branch_log)
 
-    if not require_detection and record_policy in ("always", "never"):
-        return _run_unconditional(frame, initial, record_policy == "always", rng)
 
+class _Path(NamedTuple):
+    """One distinct outcome path of a sampled batch and the samples that took it."""
+
+    members: np.ndarray                  # sample indices, ascending
+    history: tuple[EventRecord, ...]
+    branch_log: tuple[BranchRecord, ...]
+    state: np.ndarray                    # final density matrix of the path
+
+
+def _sample_paths(frame: HeisenbergFrame, initial: DensityState, samples: int,
+                  draw: Callable[[np.ndarray, int], np.ndarray],
+                  safety: float = 0.5, record_policy="always",
+                  require_detection: bool = True, tol: float = DEFAULT_TOL,
+                  steps: int | None = None) -> Iterator[_Path]:
+    """Sample ``samples`` trajectories over the first ``steps`` frame times at once.
+
+    Samples that drew the same outcomes so far share one state, so the batch
+    advances as groups {outcome prefix -> state}: the Born weights (and, with
+    detection, the centralizer and the event verdict) are computed once per
+    group, and ``draw(members, j)`` supplies the uniforms of the group's
+    samples for their j-th event (counting from 0), which a single
+    ``searchsorted`` turns into outcomes.  Each sample thus uses one uniform
+    per fired time, in time order, exactly as a one-at-a-time loop would.
+    Groups are walked depth first and each distinct path is yielded as soon
+    as it is complete, so at most steps x (outcomes per time) states are
+    alive at once, whatever the batch size.
+    """
+    steps = len(frame.times) if steps is None else steps
     should_record = _resolve_policy(record_policy)
+    if not require_detection and any(len(c) != 1 for c in frame.partitions[:steps]):
+        raise ValueError("unconditional stepping needs exactly one candidate per time")
 
-    rho = initial.matrix
-    history: list[EventRecord] = []
-    branch: list[BranchRecord] = []
-
-    for k, t in enumerate(frame.times):
-        candidates = frame.partitions[k]
-        state_k = DensityState(rho, validate=False)
+    pending = [(0, initial.matrix, np.arange(samples), ())]
+    while pending:
+        k, rho, members, log = pending.pop()
+        if k == steps:
+            herm = float(np.linalg.norm(rho - rho.conj().T))
+            drift = abs(float(rho.trace().real) - 1.0)
+            if herm > 1e-8 or drift > 1e-8:
+                raise InvariantViolation(
+                    "trajectory state left the density-matrix manifold "
+                    f"(hermiticity defect {herm:.3e}, trace drift {drift:.3e})")
+            history = tuple(EventRecord(b.time, b.outcome, b.probability, True)
+                            for b in log if b.recorded)
+            yield _Path(members, history, log, rho)
+            continue
+        t = frame.times[k]
         verdict = None
         if require_detection:
+            state_k = DensityState(rho, validate=False)
             restriction = _ambient(frame, k)
             report = centralizer(restriction, state_k)
             verdicts = [_detect(state_k, p, t, restriction, report, safety, tol)
-                        for p in candidates]
-            firing = [v for v in verdicts if v.happened]
+                        for p in frame.partitions[k]]
+            firing = sorted((v for v in verdicts if v.happened), key=lambda v: v.distance)
             if not firing:
-                branch.append(BranchRecord(t, False, any(v.admissible for v in verdicts),
-                                           min(v.distance for v in verdicts),
-                                           None, None, None, False))
+                skipped = BranchRecord(t, False, any(v.admissible for v in verdicts),
+                                       min(v.distance for v in verdicts),
+                                       None, None, None, False)
+                pending.append((k + 1, rho, members, log + (skipped,)))
                 continue
-            firing.sort(key=lambda v: v.distance)
             if len(firing) > 1 and firing[1].distance - firing[0].distance <= 1e-12:
                 logger.debug("candidate tie at time %s: margin %.3e", t,
                              firing[1].distance - firing[0].distance)
             verdict = firing[0]
             partition = verdict.partition
         else:
-            if len(candidates) != 1:
-                raise ValueError("unconditional stepping needs exactly one candidate per time")
-            partition = candidates[0]
+            partition = frame.partitions[k][0]
 
-        stack = _projection_stack(partition)
+        stack = partition.stack
         weights = np.einsum("ab,nba->n", rho, stack).real
         np.clip(weights, 0.0, None, out=weights)
         cum = np.cumsum(weights)
-        idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        idx = min(idx, len(cum) - 1)
-        outcome = partition.labels[idx]
-        p = float(weights[idx] / cum[-1])
-
-        recorded = bool(should_record(t))
-        if recorded:
-            P = stack[idx]
-            rho = P @ rho @ P / weights[idx]
-            history.append(EventRecord(t, outcome, p, True))
-        else:
-            rho = sum(Pj @ rho @ Pj for Pj in stack)
-        branch.append(BranchRecord(
-            t, True,
-            verdict.admissible if verdict else None,
-            verdict.distance if verdict else None,
-            verdict.threshold if verdict else None,
-            outcome, p, recorded))
-
-    return TrajectoryResult(tuple(history), DensityState(rho), tuple(branch))
-
-
-def _unconditional_plan(frame: HeisenbergFrame):
-    plan = getattr(frame, "_uncond_plan", None)
-    if plan is None:
-        rows = []
-        for k, t in enumerate(frame.times):
-            candidates = frame.partitions[k]
-            if len(candidates) != 1:
-                raise ValueError("unconditional stepping needs exactly one candidate per time")
-            part = candidates[0]
-            rows.append((t, part.labels, _projection_stack(part)))
-        plan = tuple(rows)
-        object.__setattr__(frame, "_uncond_plan", plan)
-    return plan
-
-
-def _run_unconditional(frame: HeisenbergFrame, initial: DensityState,
-                       recorded: bool, rng: np.random.Generator) -> TrajectoryResult:
-    # Tight loop for the projective-step-every-time mode with a constant
-    # record policy; sampling order matches the general path draw for draw.
-    plan = _unconditional_plan(frame)
-    rho = initial.matrix
-    history: list[EventRecord] = []
-    branch: list[BranchRecord] = []
-    random = rng.random
-
-    for t, labels, stack in plan:
-        weights = np.einsum("ab,nba->n", rho, stack).real
-        np.clip(weights, 0.0, None, out=weights)
-        cum = weights.cumsum()
         total = cum[-1]
         if total <= 0.0:
             raise InvariantViolation(f"total branch weight vanished at time {t}")
-        idx = int(cum.searchsorted(random() * total, side="right"))
-        if idx >= cum.shape[0]:
-            idx = cum.shape[0] - 1
-        outcome = labels[idx]
-        p = float(weights[idx] / total)
-        if recorded:
-            P = stack[idx]
-            rho = P @ rho @ P / weights[idx]
-            history.append(EventRecord(t, outcome, p, True))
-        else:
-            rho = np.einsum("nab,bc,ncd->ad", stack, rho, stack)
-        branch.append(BranchRecord(t, True, None, None, None, outcome, p, recorded))
-
-    herm = float(np.linalg.norm(rho - rho.conj().T))
-    drift = abs(float(rho.trace().real) - 1.0)
-    if herm > 1e-8 or drift > 1e-8:
-        raise InvariantViolation(
-            "trajectory state left the density-matrix manifold "
-            f"(hermiticity defect {herm:.3e}, trace drift {drift:.3e})")
-    return TrajectoryResult(tuple(history), DensityState(rho, validate=False), tuple(branch))
-
-
-def _projection_stack(partition: PartitionOfUnity) -> np.ndarray:
-    cached = getattr(partition, "_stack", None)
-    if cached is None:
-        cached = np.stack(partition.projections)
-        object.__setattr__(partition, "_stack", cached)
-    return cached
+        fired = sum(b.fired for b in log)
+        idx = np.searchsorted(cum, draw(members, fired) * total, side="right")
+        np.minimum(idx, len(cum) - 1, out=idx)
+        recorded = bool(should_record(t))
+        if not recorded:
+            dephased = sum(P @ rho @ P for P in stack)
+        children = []
+        for j in np.flatnonzero(np.bincount(idx)).tolist():
+            p = float(weights[j] / total)
+            entry = BranchRecord(t, True,
+                                 verdict.admissible if verdict else None,
+                                 verdict.distance if verdict else None,
+                                 verdict.threshold if verdict else None,
+                                 partition.labels[j], p, recorded)
+            child = stack[j] @ rho @ stack[j] / weights[j] if recorded else dephased
+            children.append((k + 1, child, members[idx == j], log + (entry,)))
+        pending.extend(reversed(children))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .events import HeisenbergFrame, run_trajectory
+from .events import HeisenbergFrame, _sample_paths
 from .operators import DensityState, PartitionOfUnity
 from .seeding import substream
 
@@ -161,20 +161,19 @@ def sampler_vs_measure(frame: HeisenbergFrame, initial: DensityState,
     """Total-variation distance between sampled and exact history measures.
 
     Runs the trajectory sampler (always-record, unconditional projective
-    steps) ``samples`` times against the exact enumeration of all length-
-    ``steps`` sequences.
+    steps) for ``samples`` trajectories against the exact enumeration of all
+    length-``steps`` sequences.  Sample i takes row i of one
+    ``(samples, steps)`` block of uniforms from ``substream(seed)``.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples!r}")
     protocols = enumerate_protocols(frame, steps)
     exact = {p.outcomes: lsw_probability(frame, initial, p) for p in protocols}
-    sub = HeisenbergFrame(frame.times[:steps], frame.propagators[:steps],
-                          frame.partitions[:steps], frame.restrictions[:steps])
-    counts: dict[tuple, int] = {}
-    rng = substream(seed)
-    for _ in range(samples):
-        result = run_trajectory(sub, initial, record_policy="always",
-                                rng_seed=rng, require_detection=False)
-        key = tuple(rec.outcome for rec in result.history)
-        counts[key] = counts.get(key, 0) + 1
+    uniforms = substream(seed).random((samples, steps))
+    paths = _sample_paths(frame, initial, samples, lambda members, j: uniforms[members, j],
+                          record_policy="always", require_detection=False, steps=steps)
+    counts = {tuple(rec.outcome for rec in path.history): path.members.size
+              for path in paths}
     tv = 0.0
     seen = set(exact) | set(counts)
     for key in seen:

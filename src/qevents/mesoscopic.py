@@ -291,9 +291,10 @@ def classify(protocol, model: DeFinettiModel, band: ClassificationBand):
 class BornExperiment:
     """Band statistics of sampled protocols next to their exact counterparts.
 
-    ``empirical``/``coverage``/``ambiguous`` hold sampled fractions (None in
-    exact-only mode with count=0); the ``exact_*`` fields are full binomial
-    computations of the same quantities under the model.
+    ``empirical``/``coverage``/``ambiguous`` hold sampled fractions and
+    ``sample`` the protocols they were computed from (all None in exact-only
+    mode with count=0); the ``exact_*`` fields are full binomial computations
+    of the same quantities under the model.
     """
 
     band: ClassificationBand
@@ -304,6 +305,7 @@ class BornExperiment:
     exact_mass: dict[int, float]
     exact_coverage: float
     exact_ambiguous: float
+    sample: ProtocolSample | None
 
 
 def born_rule_experiment(model: DeFinettiModel, n: int, count: int,
@@ -338,7 +340,7 @@ def born_rule_experiment(model: DeFinettiModel, n: int, count: int,
 
     if count == 0:
         return BornExperiment(band, 0, None, None, None,
-                              exact_mass, exact_coverage, exact_ambiguous)
+                              exact_mass, exact_coverage, exact_ambiguous, None)
 
     sample = sample_protocols(model, n, count, seed)
     freqs = sample.frequencies()
@@ -351,7 +353,7 @@ def born_rule_experiment(model: DeFinettiModel, n: int, count: int,
     coverage = float((labels >= 0).mean())
     ambiguous = float((h > 1).mean())
     return BornExperiment(band, count, empirical, coverage, ambiguous,
-                          exact_mass, exact_coverage, exact_ambiguous)
+                          exact_mass, exact_coverage, exact_ambiguous, sample)
 
 
 class Posterior(NamedTuple):

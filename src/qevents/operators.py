@@ -9,6 +9,7 @@ dense and exact up to the module tolerances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -230,7 +231,11 @@ class DensityState:
 
 @dataclass(frozen=True, eq=False)
 class PartitionOfUnity:
-    """Labeled family of orthogonal projections summing to the identity."""
+    """Labeled family of orthogonal projections summing to the identity.
+
+    Derived data is cached on the instance with ``functools.cached_property``:
+    currently ``stack``.
+    """
 
     labels: tuple
     projections: tuple[np.ndarray, ...]
@@ -254,6 +259,11 @@ class PartitionOfUnity:
     @property
     def dim(self) -> int:
         return self.projections[0].shape[0]
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """The projections as one (size, dim, dim) array, built once."""
+        return np.stack(self.projections)
 
     def projection_for(self, label) -> np.ndarray:
         try:

@@ -8,9 +8,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qevents import (RANK_RCOND, DensityState, FiniteAlgebra, PartitionOfUnity,
-                     ambient_representative, center, minimal_projections, substream)
+from qevents import (DEFAULT_TOL, RANK_RCOND, BranchRecord, DensityState, EventRecord,
+                     FiniteAlgebra, PartitionOfUnity, TrajectoryResult,
+                     ambient_representative, center, centralizer, minimal_projections,
+                     substream)
 from qevents.algebras import _orthonormal_rows, _unvec, _vec
+from qevents.events import _ambient, _detect, _resolve_policy
 
 
 def rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -100,3 +103,63 @@ def reference_centralizer(ambient: FiniteAlgebra, state: DensityState) -> Refere
     cent = FiniteAlgebra(d, _unvec(_orthonormal_rows(cent_rows), d), True)
     cent_center = center(cent)
     return ReferenceCentralizer(cent, cent_center, minimal_projections(cent_center))
+
+
+def reference_trajectory(frame, initial, safety=0.5, record_policy="always", rng_seed=0,
+                         require_detection=True, tol=DEFAULT_TOL) -> TrajectoryResult:
+    """One trajectory by a plain per-sample loop over the frame times.
+
+    The test oracle for the batched sampler behind ``qevents.run_trajectory``:
+    the event verdict, the Born weights and one ``rng.random()`` per fired
+    time are computed for this single sample, step by step.
+    """
+    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else substream(int(rng_seed))
+    should_record = _resolve_policy(record_policy)
+    rho = initial.matrix
+    history, branch = [], []
+    for k, t in enumerate(frame.times):
+        candidates = frame.partitions[k]
+        state_k = DensityState(rho, validate=False)
+        verdict = None
+        if require_detection:
+            restriction = _ambient(frame, k)
+            report = centralizer(restriction, state_k)
+            verdicts = [_detect(state_k, p, t, restriction, report, safety, tol)
+                        for p in candidates]
+            firing = [v for v in verdicts if v.happened]
+            if not firing:
+                branch.append(BranchRecord(t, False, any(v.admissible for v in verdicts),
+                                           min(v.distance for v in verdicts),
+                                           None, None, None, False))
+                continue
+            firing.sort(key=lambda v: v.distance)
+            verdict = firing[0]
+            partition = verdict.partition
+        else:
+            if len(candidates) != 1:
+                raise ValueError("unconditional stepping needs exactly one candidate per time")
+            partition = candidates[0]
+
+        stack = np.stack(partition.projections)
+        weights = np.einsum("ab,nba->n", rho, stack).real
+        np.clip(weights, 0.0, None, out=weights)
+        cum = np.cumsum(weights)
+        idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        idx = min(idx, len(cum) - 1)
+        outcome = partition.labels[idx]
+        p = float(weights[idx] / cum[-1])
+
+        recorded = bool(should_record(t))
+        if recorded:
+            P = stack[idx]
+            rho = P @ rho @ P / weights[idx]
+            history.append(EventRecord(t, outcome, p, True))
+        else:
+            rho = sum(Pj @ rho @ Pj for Pj in stack)
+        branch.append(BranchRecord(
+            t, True,
+            verdict.admissible if verdict else None,
+            verdict.distance if verdict else None,
+            verdict.threshold if verdict else None,
+            outcome, p, recorded))
+    return TrajectoryResult(tuple(history), DensityState(rho), tuple(branch))

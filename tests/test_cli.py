@@ -1,13 +1,18 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qevents.cli as cli
-from qevents import InvariantViolation
+from qevents import InvariantViolation, substream
+
+from _helpers import reference_trajectory
 
 SCHEMA = "qevents-config/1"
 C = 0.7071067811865476
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -149,7 +154,7 @@ class TestConfigErrors:
         def boom(*args, **kwargs):
             raise InvariantViolation("state left the manifold")
 
-        monkeypatch.setattr(cli, "run_trajectory", boom)
+        monkeypatch.setattr(cli, "_sample_paths", boom)
         assert cli.main(["trajectory", "--config", cfg]) == 2
         assert "numerical invariant failed" in capsys.readouterr().err
 
@@ -197,6 +202,63 @@ class TestTrajectory:
         cfg = hadamard_config(tmp_path, record_policy="sometimes")
         assert cli.main(["trajectory", "--config", cfg]) == 1
         capsys.readouterr()
+
+
+class TestTrajectoryGolden:
+    """sha256 of `qevents trajectory` JSON, pinned from the one-sample-at-a-time sampler."""
+
+    GATED = {
+        "schema": SCHEMA,
+        "model": {
+            "kind": "frame",
+            "times": [1.0, 2.0, 3.0, 4.0],
+            "initial_state": {"diag": [0.1, 0.2, 0.3, 0.4]},
+            "step_propagator": [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+            "base_partitions": {"diagonal_labels": ["a", "a", "b", "c"]},
+            "restrictions": [{"kind": "diagonal"}] * 4,
+        },
+        # the event skips t=1 (tied weights), then fires on some branches only
+        "run": {"seed": 11, "samples": 300, "record_policy": "always",
+                "require_detection": True, "keep_histories": 20},
+    }
+
+    @pytest.mark.parametrize("name,digest", [
+        ("hadamard3.json", "08e56df96e415de2b111f90677d4a67290574e9d42d323914ae37b4ae2df482b"),
+        ("diagonal_trajectories.json",
+         "421330dcc79dfedfc8fd9028a9c09d244c4a92eef74578ff9810f7bdfb796f78"),
+        ("gated", "4c86d731d234cf97065e542b3a4da683b9bac37be1b85b4415e6f8141510003a"),
+    ])
+    def test_output_digest(self, tmp_path, capsys, name, digest):
+        cfg = (write_config(tmp_path, self.GATED) if name == "gated"
+               else str(CONFIGS / name))
+        assert cli.main(["trajectory", "--config", cfg]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+    def test_histogram_order_matches_a_per_sample_tally(self, tmp_path, capsys):
+        # labels 1 and "1" print alike and lie on different branches; rows with
+        # equal str() keep the order in which a sample-by-sample tally first
+        # meets them ("1" first: sample 0 takes the likelier branch)
+        payload = {
+            "schema": SCHEMA,
+            "model": {"kind": "frame", "times": [1.0, 2.0],
+                      "initial_state": {"diag": [0.3, 0.7]},
+                      "partitions": [{"diagonal_labels": [1, "x"]},
+                                     {"diagonal_labels": ["y", "1"]}]},
+            "run": {"seed": 5, "samples": 40, "require_detection": False},
+        }
+        assert cli.main(["trajectory", "--config", write_config(tmp_path, payload)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        frame, initial = cli._build_frame(payload["model"])
+        counts = {}
+        for i in range(40):
+            ref = reference_trajectory(frame, initial, rng_seed=substream(5, i),
+                                       require_detection=False)
+            for rec in ref.history:
+                counts[rec.outcome] = counts.get(rec.outcome, 0) + 1
+        expected = sorted(counts.items(), key=lambda kv: str(kv[0]))
+        assert [row["outcome"] for row in out["histogram"]] == ["1", 1, "x", "y"]
+        assert [(row["outcome"], row["count"]) for row in out["histogram"]] == expected
 
 
 class TestLsw:

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qevents import (DensityState, FiniteAlgebra, HeisenbergFrame,
                      InadmissibleThresholdError, InvariantViolation,
                      PartitionOfUnity, admissible_threshold, born_probabilities,
-                     collapse, detect_event, earliest_event, run_trajectory,
-                     substream, unrecorded_update)
+                     collapse, detect_event, diagonal_algebra, earliest_event,
+                     run_trajectory, substream, unrecorded_update)
+from qevents.events import _sample_paths
 
-from _helpers import rng
+from _helpers import (random_density, random_partition, random_unitary,
+                      reference_trajectory, rng)
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E22 = np.diag([0.0, 1.0]).astype(complex)
@@ -236,3 +240,108 @@ class TestTrajectories:
                              rng_seed=substream(2, 0))
         recorded = [r.time for r in res.history if r.recorded]
         assert recorded == [1.0]
+
+
+def _random_frame(gen, dim, outcomes, steps, access, candidates, state):
+    """A frame and a state under which events fire often.
+
+    ``state`` is "random", "aligned" (diagonal in the first candidate's
+    blocks) or "tied" (aligned, with two equal outcome weights, so that no
+    event fires at the first time and later events draw the first uniform).
+    """
+    rotate = access == "full"
+    parts = [random_partition(gen, dim, outcomes, rotate=rotate) for _ in range(candidates)]
+    if rotate:
+        step = random_unitary(gen, dim)
+        restrictions = None
+    else:
+        # a permutation with phases keeps diagonal partitions diagonal
+        step = np.zeros((dim, dim), dtype=complex)
+        step[gen.permutation(dim), np.arange(dim)] = np.exp(2j * np.pi * gen.random(dim))
+        restrictions = diagonal_algebra(dim)
+    frame = HeisenbergFrame.build(tuple(float(k + 1) for k in range(steps)), parts,
+                                  step_propagator=step, restrictions=restrictions)
+    if state == "random":
+        return frame, random_density(gen, dim)
+    w = gen.dirichlet(np.ones(outcomes))
+    if state == "tied":
+        w[1] = w[0]
+        w /= w.sum()
+    rho = sum(wi * P / np.trace(P).real for wi, P in zip(w, parts[0].projections))
+    return frame, DensityState(rho)
+
+
+def _assert_same_trajectory(history, branch_log, state, ref):
+    assert history == ref.history
+    assert branch_log == ref.branch_log
+    np.testing.assert_allclose(state, ref.final_state.matrix, rtol=0, atol=1e-12)
+
+
+class TestBatchedSampler:
+    """The prefix-grouped batch sampler against a one-sample-at-a-time loop."""
+
+    POLICIES = {"always": "always", "never": "never", "from2": lambda t: t >= 2.0}
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dim=st.integers(2, 4), outcomes=st.integers(2, 3), steps=st.integers(1, 4),
+           access=st.sampled_from(["full", "diagonal"]), detection=st.booleans(),
+           two_candidates=st.booleans(),
+           state_kind=st.sampled_from(["random", "aligned", "tied"]),
+           policy=st.sampled_from(["always", "never", "from2"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_per_sample_loop(self, dim, outcomes, steps, access, detection,
+                                         two_candidates, state_kind, policy, seed):
+        gen = rng(seed)
+        candidates = 2 if detection and two_candidates else 1
+        frame, state = _random_frame(gen, dim, min(outcomes, dim), steps, access,
+                                     candidates, state_kind)
+        record = self.POLICIES[policy]
+        kw = dict(record_policy=record, require_detection=detection)
+        samples = 6
+
+        # one shared generator, run_trajectory called once per sample
+        mine, theirs = substream(seed, 1), substream(seed, 1)
+        for _ in range(samples):
+            res = run_trajectory(frame, state, rng_seed=mine, **kw)
+            ref = reference_trajectory(frame, state, rng_seed=theirs, **kw)
+            _assert_same_trajectory(res.history, res.branch_log, res.final_state.matrix, ref)
+        assert repr(mine.bit_generator.state) == repr(theirs.bit_generator.state)
+
+        # one batch, one generator per sample (the command-line contract)
+        uniforms = np.array([substream(seed, 2 + i).random(steps) for i in range(samples)])
+        paths = list(_sample_paths(frame, state, samples, lambda m, j: uniforms[m, j], **kw))
+        assert sorted(i for p in paths for i in p.members.tolist()) == list(range(samples))
+        for path in paths:
+            for i in path.members.tolist():
+                ref = reference_trajectory(frame, state, rng_seed=substream(seed, 2 + i), **kw)
+                _assert_same_trajectory(path.history, path.branch_log, path.state, ref)
+
+        # one batch from one (samples, steps) block of a shared generator, as
+        # sampler_vs_measure draws it: every step fires, so row i is sample i
+        if not detection:
+            block = substream(seed, 3).random((samples, steps))
+            shared = substream(seed, 3)
+            refs = [reference_trajectory(frame, state, rng_seed=shared, **kw)
+                    for _ in range(samples)]
+            paths = list(_sample_paths(frame, state, samples, lambda m, j: block[m, j], **kw))
+            for path in paths:
+                for i in path.members.tolist():
+                    _assert_same_trajectory(path.history, path.branch_log, path.state, refs[i])
+
+    def test_paths_group_samples_by_outcome_prefix(self):
+        fr = hadamard_frame(3)
+        u = substream(4).random((500, 3))
+        paths = list(_sample_paths(fr, RHO_37, 500, lambda m, j: u[m, j],
+                                   require_detection=False))
+        keys = [tuple(r.outcome for r in p.history) for p in paths]
+        assert len(set(keys)) == len(keys) == 8
+        assert sum(p.members.size for p in paths) == 500
+
+    def test_vanished_branch_weight_raises(self):
+        frame = HeisenbergFrame((1.0,), (I2,), ((PART,),), (None,))
+        # clipped weights (0, 0), yet a weight gap of 0.5 lets the event fire
+        broken = DensityState(np.diag([-0.5, 0.0]), validate=False)
+        for detection in (False, True):
+            with pytest.raises(InvariantViolation, match="vanished"):
+                list(_sample_paths(frame, broken, 3, lambda m, j: np.zeros(m.size),
+                                   require_detection=detection))

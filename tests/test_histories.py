@@ -144,6 +144,11 @@ class TestSamplerAgreement:
         tv = sampler_vs_measure(fr, RHO_37, 2, 20000, seed=8)
         assert tv < 0.05
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_needs_at_least_one_sample(self, samples):
+        with pytest.raises(ValueError, match="at least 1"):
+            sampler_vs_measure(hadamard_frame(2), RHO_37, 2, samples)
+
 
 class TestCommutingModels:
     def test_mixture_realization_is_exactly_consistent(self):

@@ -203,7 +203,7 @@ class TestBornExperiment:
     def test_exact_masses_approach_the_prior_weights(self):
         m = reference_model()
         exp = born_rule_experiment(m, 500, 0)
-        assert exp.empirical is None and exp.coverage is None
+        assert exp.empirical is None and exp.coverage is None and exp.sample is None
         assert exp.exact_mass[0] == pytest.approx(0.4, abs=1e-8)
         assert exp.exact_mass[1] == pytest.approx(0.6, abs=1e-8)
         assert exp.exact_coverage == pytest.approx(1.0, abs=1e-8)
@@ -220,6 +220,10 @@ class TestBornExperiment:
         # sampled fractions sit near the exact ones
         assert exp.coverage == pytest.approx(exp.exact_coverage, abs=0.05)
         assert exp.ambiguous == pytest.approx(exp.exact_ambiguous, abs=0.05)
+        # the experiment hands back the very sample its fractions came from
+        again = sample_protocols(m, 10, 2000, seed=0)
+        np.testing.assert_array_equal(exp.sample.outcomes, again.outcomes)
+        np.testing.assert_array_equal(exp.sample.latent, again.latent)
 
     def test_sampled_masses_track_exact_masses(self):
         m = reference_model()
