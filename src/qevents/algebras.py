@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvariantViolation
-from .operators import (DEGENERACY_TOL, adjoint, as_operator, operator_norm,
+from .operators import (DEGENERACY_TOL, _checked_norm, adjoint, as_operator,
                         operator_to_json, operator_from_json, spectral_decompose)
 
 # Relative singular-value cutoff for rank decisions.
@@ -279,7 +279,7 @@ def minimal_projections(algebra: FiniteAlgebra,
         herms.append((B - adjoint(B)) / 2.0j)
     for A in algebra.basis:
         for B in algebra.basis:
-            if operator_norm(A @ B - B @ A) > tol:
+            if _checked_norm(A @ B - B @ A, tol) > tol:
                 raise InvariantViolation("minimal projections need an abelian algebra")
     rows = _vec(algebra.basis)
     for attempt in range(8):

@@ -21,8 +21,8 @@ import numpy as np
 from .algebras import FiniteAlgebra, SPAN_TOL, contains, full_matrix_algebra
 from .centralizers import CentralizerReport, centralizer, expect_onto_center
 from .errors import InadmissibleThresholdError, InvariantViolation
-from .operators import (DEFAULT_TOL, DensityState, PartitionOfUnity, adjoint,
-                        as_operator, operator_norm)
+from .operators import (DEFAULT_TOL, DensityState, PartitionOfUnity, _checked_norm,
+                        _unitarity_defect, as_operator, operator_norm)
 from .seeding import substream
 
 logger = logging.getLogger(__name__)
@@ -83,10 +83,12 @@ class HeisenbergFrame:
             raise ValueError("one propagator per time required")
         dim = props[0].shape[0]
         for k, U in enumerate(props):
-            r = operator_norm(adjoint(U) @ U - np.eye(dim))
+            if U.shape[0] != dim:
+                raise ValueError("propagators must share one dimension")
+            r = _unitarity_defect(U, DEFAULT_TOL)
             if r > DEFAULT_TOL:
                 raise InvariantViolation(f"propagator at time {times[k]} not unitary: {r:.3e}")
-        r0 = operator_norm(props[0] - np.eye(dim))
+        r0 = _checked_norm(props[0] - np.eye(dim), DEFAULT_TOL)
         if r0 > DEFAULT_TOL:
             raise InvariantViolation(f"propagator at the initial time must be the identity: {r0:.3e}")
         object.__setattr__(self, "propagators", props)

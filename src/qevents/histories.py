@@ -12,12 +12,13 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import InvariantViolation
 from .events import HeisenbergFrame, _sample_paths
-from .operators import DensityState, PartitionOfUnity
+from .operators import DensityState, PartitionOfUnity, _diagonal
 from .seeding import substream
 
 logger = logging.getLogger(__name__)
@@ -69,26 +70,43 @@ def lsw_probability(frame: HeisenbergFrame, initial: DensityState,
     """Probability of a finite outcome sequence under the history measure.
 
     Applies the projections innermost-first on the density matrix; the trace
-    of the final unnormalized state is the sequence probability.  Rounding
-    can push the value marginally outside [0, 1]; it is clamped and the
-    clamp magnitude logged.
+    of the final unnormalized state is the sequence probability.  When the
+    state and every projection involved are diagonal, the same products are
+    taken on the diagonals alone.  Rounding can push the value marginally
+    outside [0, 1]; it is clamped and the clamp magnitude logged.
     """
     if len(protocol) == 0:
         return 1.0
-    sigma = initial.matrix
+    factors = []
     for t, label in zip(protocol.times, protocol.outcomes):
-        k = frame.index_of(t)
-        P = _partition_for(frame, k, label).projection_for(label)
-        sigma = P @ sigma @ P
-    value = float(np.real(np.trace(sigma)))
+        partition = _partition_for(frame, frame.index_of(t), label)
+        factors.append((partition, partition.index_for(label)))
+    diagonal = None
+    if all(partition.diagonals is not None for partition, _ in factors):
+        diagonal = _diagonal(initial.matrix)
+    if diagonal is not None:
+        for partition, j in factors:
+            p = partition.diagonals[j]
+            diagonal = p * diagonal * p
+        value = float(np.real(np.sum(diagonal)))
+    else:
+        sigma = initial.matrix
+        for partition, j in factors:
+            P = partition.projections[j]
+            sigma = P @ sigma @ P
+        value = float(np.real(np.trace(sigma)))
+    return _clamp(value)
+
+
+def _clamp(value: float) -> float:
     clamped = min(max(value, 0.0), 1.0)
     if clamped != value:
         logger.debug("history probability clamped by %.3e", abs(value - clamped))
     return clamped
 
 
-def enumerate_protocols(frame: HeisenbergFrame, steps: int) -> list[MeasurementProtocol]:
-    """All outcome sequences over the first ``steps`` frame times."""
+def _label_sets(frame: HeisenbergFrame, steps: int) -> list[tuple]:
+    """Outcome labels of the single candidate at each of the first ``steps`` times."""
     if steps > len(frame.times):
         raise ValueError(f"frame has only {len(frame.times)} times, {steps} steps requested")
     label_sets = []
@@ -101,9 +119,47 @@ def enumerate_protocols(frame: HeisenbergFrame, steps: int) -> list[MeasurementP
         if leaves > MAX_TREE_LEAVES:
             raise ValueError(f"outcome tree too large: more than {MAX_TREE_LEAVES} leaves")
         label_sets.append(labels)
+    return label_sets
+
+
+def enumerate_protocols(frame: HeisenbergFrame, steps: int) -> list[MeasurementProtocol]:
+    """All outcome sequences over the first ``steps`` frame times."""
+    label_sets = _label_sets(frame, steps)
     times = frame.times[:steps]
     return [MeasurementProtocol(combo, times)
             for combo in itertools.product(*label_sets)]
+
+
+def _walk_outcome_tree(frame: HeisenbergFrame, initial: DensityState, steps: int,
+                       visit: Callable[[tuple, float], None]) -> float:
+    """Walk the outcome tree over the first ``steps`` times depth first.
+
+    Each node's state is ``P @ sigma @ P`` of its parent's, from the root
+    ``initial.matrix``: the products ``lsw_probability`` takes.  A node's
+    mass is the real trace of its state (1.0 at the root).  Children come in
+    label order, so ``visit(outcomes, mass)`` sees the leaves in
+    ``itertools.product`` order.  Returns the largest gap between an inner
+    node's mass and the sum of its children's.
+    """
+    _label_sets(frame, steps)
+    max_marginal = 0.0
+
+    def walk(k: int, outcomes: tuple, sigma: np.ndarray, mass: float):
+        nonlocal max_marginal
+        if k == steps:
+            visit(outcomes, mass)
+            return
+        partition = frame.partitions[k][0]
+        child_sum = 0.0
+        for label, P in zip(partition.labels, partition.projections):
+            child = P @ sigma @ P
+            child_mass = float(np.real(np.trace(child)))
+            child_sum += child_mass
+            walk(k + 1, outcomes + (label,), child, child_mass)
+        max_marginal = max(max_marginal, abs(child_sum - mass))
+
+    walk(0, (), initial.matrix, 1.0)
+    return max_marginal
 
 
 @dataclass(frozen=True)
@@ -122,32 +178,15 @@ def consistency_check(frame: HeisenbergFrame, initial: DensityState,
     sum back to the measure of the prefix; the full-length measures must sum
     to one.  Residuals beyond ``tol`` raise.
     """
-    leaves = 1
-    for k in range(steps):
-        if len(frame.partitions[k]) != 1:
-            raise ValueError("history enumeration needs exactly one candidate per time")
-        leaves *= len(frame.partitions[k][0].labels)
-        if leaves > MAX_TREE_LEAVES:
-            raise ValueError(f"outcome tree too large: more than {MAX_TREE_LEAVES} leaves")
-
-    max_marginal = 0.0
+    leaves = 0
     total = 0.0
 
-    def walk(k: int, sigma: np.ndarray, mass: float):
-        nonlocal max_marginal, total
-        if k == steps:
-            total += mass
-            return
-        partition = frame.partitions[k][0]
-        child_sum = 0.0
-        for P in partition.projections:
-            child = P @ sigma @ P
-            child_mass = float(np.real(np.trace(child)))
-            child_sum += child_mass
-            walk(k + 1, child, child_mass)
-        max_marginal = max(max_marginal, abs(child_sum - mass))
+    def add(outcomes: tuple, mass: float):
+        nonlocal leaves, total
+        leaves += 1
+        total += mass
 
-    walk(0, initial.matrix, 1.0)
+    max_marginal = _walk_outcome_tree(frame, initial, steps, add)
     norm_residual = abs(total - 1.0)
     if max_marginal > tol or norm_residual > tol:
         raise InvariantViolation(
@@ -167,8 +206,12 @@ def sampler_vs_measure(frame: HeisenbergFrame, initial: DensityState,
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples!r}")
-    protocols = enumerate_protocols(frame, steps)
-    exact = {p.outcomes: lsw_probability(frame, initial, p) for p in protocols}
+    exact: dict[tuple, float] = {}
+
+    def record(outcomes: tuple, mass: float):
+        exact[outcomes] = _clamp(mass)
+
+    _walk_outcome_tree(frame, initial, steps, record)
     uniforms = substream(seed).random((samples, steps))
     paths = _sample_paths(frame, initial, samples, lambda members, j: uniforms[members, j],
                           record_policy="always", require_detection=False, steps=steps)

@@ -19,12 +19,14 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
-from scipy.stats import binom
 
 from .events import HeisenbergFrame
 from .operators import DensityState, PartitionOfUnity
 from .seeding import substream
+
+# scipy (logsumexp, xlogy, binom) is imported inside the functions that use
+# it: loading it takes most of a second, which commands that never touch the
+# mixture statistics should not pay.
 
 __all__ = [
     "DeFinettiModel",
@@ -317,6 +319,8 @@ def born_rule_experiment(model: DeFinettiModel, n: int, count: int,
     and the classified fraction (coverage) converges to 1; at small n the
     exact columns quantify how far short the bands fall.
     """
+    from scipy.stats import binom
+
     n = int(n)
     band = ClassificationBand.from_schedule(n, exponent)
     H = model.num_hypotheses
@@ -363,6 +367,8 @@ class Posterior(NamedTuple):
 
 def _log_posterior_rows(model: DeFinettiModel, plus_counts: np.ndarray,
                         n: int) -> np.ndarray:
+    from scipy.special import xlogy
+
     ks = np.asarray(plus_counts, dtype=float)[:, None]
     ms = n - ks
     with np.errstate(divide="ignore"):
@@ -376,6 +382,8 @@ def posterior(model: DeFinettiModel, protocol) -> Posterior:
     The empty protocol returns the prior.  A protocol every hypothesis gives
     probability zero is an error.
     """
+    from scipy.special import logsumexp
+
     arr = _as_outcome_array(protocol)
     k = int((arr == 1).sum())
     lw = _log_posterior_rows(model, np.array([k]), arr.size)[0]
@@ -390,6 +398,8 @@ def posterior(model: DeFinettiModel, protocol) -> Posterior:
 
 def posterior_entropies(model: DeFinettiModel, sample: ProtocolSample) -> np.ndarray:
     """Posterior entropy in bits for every protocol of a sample, vectorized."""
+    from scipy.special import logsumexp
+
     lw = _log_posterior_rows(model, sample.plus_counts(), sample.n)
     totals = logsumexp(lw, axis=1)
     if not np.isfinite(totals).all():
@@ -421,6 +431,9 @@ def relative_entropy(model: DeFinettiModel, nu1: int, nu2: int) -> float:
 
 def log_band_mass(n: int, epsilon: float, center: float, q: float) -> float:
     """log of the exact binomial mass of {k : |k/n - center| < epsilon} under q."""
+    from scipy.special import logsumexp
+    from scipy.stats import binom
+
     ks = np.arange(n + 1)
     mask = np.abs(ks / n - center) < epsilon
     if not mask.any():
@@ -604,13 +617,13 @@ def commuting_realization(model: DeFinettiModel, n: int,
     for nu in range(H):
         probs = np.where(bits == 1, model.p_plus[nu], model.p_minus[nu]).prod(axis=1)
         diag[nu << n:(nu + 1) << n] = model.weights[nu] * probs
-    state = DensityState(np.diag(diag).astype(complex))
+    state = DensityState(np.diag(diag.astype(complex)))
 
     partitions = []
     for k in range(n):
-        plus_bit = np.tile(bits[:, k], H).astype(float)
-        P_plus = np.diag(plus_bit).astype(complex)
-        P_minus = np.eye(dim, dtype=complex) - P_plus
+        plus_bit = np.tile(bits[:, k], H).astype(complex)
+        P_plus = np.diag(plus_bit)
+        P_minus = np.diag(1.0 - plus_bit)
         partitions.append((PartitionOfUnity((1, -1), (P_plus, P_minus)),))
 
     times = tuple(model.tau * (k + 1) for k in range(n))

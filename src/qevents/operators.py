@@ -8,6 +8,7 @@ dense and exact up to the module tolerances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,18 +63,17 @@ def antihermitian_defect(A: np.ndarray) -> float:
 
 
 def is_hermitian(A: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return antihermitian_defect(A) <= tol
+    A = as_operator(A)
+    return _checked_norm((A - adjoint(A)) / 2.0, tol) <= tol
 
 
 def is_unitary(U: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    U = as_operator(U)
-    eye = np.eye(U.shape[0])
-    return operator_norm(adjoint(U) @ U - eye) <= tol
+    return _unitarity_defect(as_operator(U), tol) <= tol
 
 
 def is_projection(P: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     P = as_operator(P)
-    return is_hermitian(P, tol) and operator_norm(P @ P - P) <= tol
+    return is_hermitian(P, tol) and _checked_norm(P @ P - P, tol) <= tol
 
 
 def operator_norm(A: np.ndarray) -> float:
@@ -84,11 +84,56 @@ def operator_norm(A: np.ndarray) -> float:
     return float(np.linalg.norm(A, 2))
 
 
+def _diagonal(A: np.ndarray) -> np.ndarray | None:
+    """The diagonal of A if every off-diagonal entry is exactly zero and the
+    diagonal is finite, else None.
+
+    Non-finite input never counts as diagonal (NaN is nonzero), so it takes
+    the dense path and is rejected there (see ``_checked_norm``).
+    """
+    d = np.diagonal(A)
+    if np.count_nonzero(A) != np.count_nonzero(d) or not np.isfinite(d).all():
+        return None
+    return d.copy()
+
+
+def _checked_norm(X: np.ndarray, tol: float) -> float:
+    """A norm of X that exceeds ``tol`` exactly when ``operator_norm(X)`` does.
+
+    ``X`` is a matrix, or a 1-D array standing for the diagonal matrix it
+    spells.  A finite diagonal has spectral norm max |d_i|, read off
+    exactly.  A matrix passes on its Frobenius norm, an upper bound of the
+    spectral norm, when that is at most ``tol``; otherwise the SVD decides.
+    So whenever the check fails the value is the spectral norm itself.
+    Non-finite input reaches the SVD, which rejects NaN; where it returns
+    NaN instead (infinite entries), the norm counts as infinite and fails.
+    """
+    if X.ndim == 2:
+        fro = float(np.linalg.norm(X))
+        if fro <= tol:
+            return fro
+        d = _diagonal(X)
+        if d is not None:
+            X = d
+    if X.ndim == 1 and np.isfinite(X).all():
+        return float(np.abs(X).max(initial=0.0))
+    r = operator_norm(X if X.ndim == 2 else np.diag(X))
+    return math.inf if math.isnan(r) else r
+
+
+def _unitarity_defect(U: np.ndarray, tol: float) -> float:
+    """``_checked_norm`` of U*U - 1, elementwise when U is diagonal."""
+    u = _diagonal(U)
+    if u is not None:
+        return _checked_norm(u.conj() * u - 1.0, tol)
+    return _checked_norm(adjoint(U) @ U - np.eye(U.shape[0]), tol)
+
+
 def conjugate(A: np.ndarray, U: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Frame change U* A U.  Rejects non-unitary U."""
     A = as_operator(A)
     U = as_operator(U, A.shape[0])
-    defect = operator_norm(adjoint(U) @ U - np.eye(U.shape[0]))
+    defect = _unitarity_defect(U, tol)
     if defect > tol:
         raise InvariantViolation(f"conjugation frame is not unitary: ||U*U - 1|| = {defect:.3e}")
     return adjoint(U) @ A @ U
@@ -133,26 +178,36 @@ class SpectralDecomposition:
 
 def validate_projection_family(projections, complete: bool = True,
                                tol: float = DEFAULT_TOL) -> None:
-    """Check idempotence, Hermiticity, pairwise orthogonality, completeness."""
+    """Check idempotence, Hermiticity, pairwise orthogonality, completeness.
+
+    Each check compares a spectral norm with ``tol``.  When every projection
+    is diagonal (exactly zero off the diagonal, finite on it) the checks run
+    on the diagonals alone, with no matrix product.
+    """
     projections = [as_operator(P) for P in projections]
     dim = projections[0].shape[0]
-    for k, P in enumerate(projections):
-        if P.shape[0] != dim:
+    family, mul, identity = projections, np.matmul, np.eye
+    if all(P.shape[0] == dim for P in projections):
+        diags = [_diagonal(P) for P in projections]
+        if all(d is not None for d in diags):
+            family, mul, identity = diags, np.multiply, np.ones
+    for k, P in enumerate(family):
+        if projections[k].shape[0] != dim:
             raise ValueError("projections must share one dimension")
-        h = antihermitian_defect(P)
+        h = _checked_norm((P - adjoint(P)) / 2.0, tol)
         if h > tol:
             raise InvariantViolation(f"projection {k} not Hermitian: defect {h:.3e}")
-        r = operator_norm(P @ P - P)
+        r = _checked_norm(mul(P, P) - P, tol)
         if r > tol:
             raise InvariantViolation(f"projection {k} not idempotent: ||P^2 - P|| = {r:.3e}")
-    for i in range(len(projections)):
-        for j in range(i + 1, len(projections)):
-            r = operator_norm(projections[i] @ projections[j])
+    for i in range(len(family)):
+        for j in range(i + 1, len(family)):
+            r = _checked_norm(mul(family[i], family[j]), tol)
             if r > tol:
                 raise InvariantViolation(
                     f"projections {i},{j} not orthogonal: ||P_i P_j|| = {r:.3e}")
     if complete:
-        r = operator_norm(sum(projections) - np.eye(dim))
+        r = _checked_norm(sum(family) - identity(dim), tol)
         if r > tol:
             raise InvariantViolation(f"projections do not sum to identity: residual {r:.3e}")
 
@@ -167,7 +222,7 @@ def spectral_decompose(X: np.ndarray,
     rejected with the norm of its anti-Hermitian part as diagnostic.
     """
     X = as_operator(X)
-    defect = antihermitian_defect(X)
+    defect = _checked_norm((X - adjoint(X)) / 2.0, tol)
     if defect > tol:
         raise InvariantViolation(
             f"spectral_decompose requires Hermitian input: anti-Hermitian part norm {defect:.3e}")
@@ -189,18 +244,24 @@ def spectral_decompose(X: np.ndarray,
 
 
 class DensityState:
-    """A density matrix acting as the state functional A -> tr(rho A)."""
+    """A density matrix acting as the state functional A -> tr(rho A).
+
+    A diagonal matrix (see ``validate_projection_family``) is validated on
+    its diagonal: its eigenvalues are the diagonal entries themselves.
+    """
 
     __slots__ = ("matrix",)
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL, validate: bool = True):
         M = as_operator(matrix)
         if validate:
-            h = antihermitian_defect(M)
+            d = _diagonal(M)
+            X = M if d is None else d
+            h = _checked_norm((X - adjoint(X)) / 2.0, tol)
             if h > tol:
                 raise InvariantViolation(f"density matrix not Hermitian: defect {h:.3e}")
             M = (M + adjoint(M)) / 2.0
-            w = np.linalg.eigvalsh(M)
+            w = np.linalg.eigvalsh(M) if d is None else d.real
             if w.min() < -tol:
                 raise InvariantViolation(f"density matrix has negative weight {w.min():.3e}")
             tr = float(np.real(np.trace(M)))
@@ -234,7 +295,7 @@ class PartitionOfUnity:
     """Labeled family of orthogonal projections summing to the identity.
 
     Derived data is cached on the instance with ``functools.cached_property``:
-    currently ``stack``.
+    currently ``stack`` and ``diagonals``.
     """
 
     labels: tuple
@@ -265,11 +326,27 @@ class PartitionOfUnity:
         """The projections as one (size, dim, dim) array, built once."""
         return np.stack(self.projections)
 
-    def projection_for(self, label) -> np.ndarray:
+    @cached_property
+    def diagonals(self) -> np.ndarray | None:
+        """The projections' diagonals as one (size, dim) array, built once.
+
+        None unless every projection is exactly diagonal with a finite
+        diagonal, so that the diagonals alone determine the partition.
+        """
+        diags = [_diagonal(P) for P in self.projections]
+        if any(d is None for d in diags):
+            return None
+        return np.stack(diags)
+
+    def index_for(self, label) -> int:
+        """Position of ``label`` in ``labels``; KeyError if it is not there."""
         try:
-            return self.projections[self.labels.index(label)]
+            return self.labels.index(label)
         except ValueError:
             raise KeyError(f"unknown outcome label {label!r}") from None
+
+    def projection_for(self, label) -> np.ndarray:
+        return self.projections[self.index_for(label)]
 
     def conjugated(self, U: np.ndarray, tol: float = DEFAULT_TOL) -> "PartitionOfUnity":
         """Partition with every projection replaced by U* P U (labels kept)."""

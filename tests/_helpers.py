@@ -9,11 +9,12 @@ from typing import NamedTuple
 import numpy as np
 
 from qevents import (DEFAULT_TOL, RANK_RCOND, BranchRecord, DensityState, EventRecord,
-                     FiniteAlgebra, PartitionOfUnity, TrajectoryResult,
-                     ambient_representative, center, centralizer, minimal_projections,
-                     substream)
+                     FiniteAlgebra, InvariantViolation, PartitionOfUnity, TrajectoryResult,
+                     adjoint, ambient_representative, antihermitian_defect, center,
+                     centralizer, minimal_projections, operator_norm, substream)
 from qevents.algebras import _orthonormal_rows, _unvec, _vec
-from qevents.events import _ambient, _detect, _resolve_policy
+from qevents.events import _ambient, _detect, _resolve_policy, _sample_paths
+from qevents.histories import enumerate_protocols, lsw_probability
 
 
 def rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -163,3 +164,84 @@ def reference_trajectory(frame, initial, safety=0.5, record_policy="always", rng
             verdict.threshold if verdict else None,
             outcome, p, recorded))
     return TrajectoryResult(tuple(history), DensityState(rho), tuple(branch))
+
+
+def reference_validate_projection_family(projections, complete=True, tol=DEFAULT_TOL) -> None:
+    """Projection-family validation with an SVD-based spectral norm for every check.
+
+    The test oracle for ``qevents.operators.validate_projection_family``,
+    which decides most checks by a Frobenius bound or on the diagonals.
+    """
+    projections = [np.asarray(P, dtype=complex) for P in projections]
+    dim = projections[0].shape[0]
+    for k, P in enumerate(projections):
+        if P.shape[0] != dim:
+            raise ValueError("projections must share one dimension")
+        h = antihermitian_defect(P)
+        if h > tol:
+            raise InvariantViolation(f"projection {k} not Hermitian: defect {h:.3e}")
+        r = operator_norm(P @ P - P)
+        if r > tol:
+            raise InvariantViolation(f"projection {k} not idempotent: ||P^2 - P|| = {r:.3e}")
+    for i in range(len(projections)):
+        for j in range(i + 1, len(projections)):
+            r = operator_norm(projections[i] @ projections[j])
+            if r > tol:
+                raise InvariantViolation(
+                    f"projections {i},{j} not orthogonal: ||P_i P_j|| = {r:.3e}")
+    if complete:
+        r = operator_norm(sum(projections) - np.eye(dim))
+        if r > tol:
+            raise InvariantViolation(f"projections do not sum to identity: residual {r:.3e}")
+
+
+def reference_validate_density(matrix, tol=DEFAULT_TOL) -> None:
+    """Density-matrix validation by SVD (Hermiticity) and ``eigvalsh`` (positivity).
+
+    The test oracle for ``DensityState(matrix, tol)``.
+    """
+    M = np.asarray(matrix, dtype=complex)
+    h = antihermitian_defect(M)
+    if h > tol:
+        raise InvariantViolation(f"density matrix not Hermitian: defect {h:.3e}")
+    M = (M + adjoint(M)) / 2.0
+    w = np.linalg.eigvalsh(M)
+    if w.min() < -tol:
+        raise InvariantViolation(f"density matrix has negative weight {w.min():.3e}")
+    tr = float(np.real(np.trace(M)))
+    if abs(tr - 1.0) > tol:
+        raise InvariantViolation(f"density matrix trace {tr!r} differs from 1")
+
+
+def reference_unitarity_defect(U) -> float:
+    """||U*U - 1|| by SVD, the oracle of every unitarity check."""
+    U = np.asarray(U, dtype=complex)
+    return operator_norm(adjoint(U) @ U - np.eye(U.shape[0]))
+
+
+def outcome(fn, *args, **kwargs):
+    """(exception type, message) raised by ``fn(*args, **kwargs)``, or (None, None)."""
+    try:
+        fn(*args, **kwargs)
+    except Exception as exc:  # the type itself is what the caller compares
+        return type(exc), str(exc)
+    return None, None
+
+
+def reference_sampler_vs_measure(frame, initial, steps, samples, seed=0) -> float:
+    """Total-variation distance with one ``lsw_probability`` call per protocol.
+
+    The test oracle for ``qevents.sampler_vs_measure``, which takes the exact
+    measure from one walk of the outcome tree; the sampled side is the same.
+    """
+    exact = {p.outcomes: lsw_probability(frame, initial, p)
+             for p in enumerate_protocols(frame, steps)}
+    uniforms = substream(seed).random((samples, steps))
+    paths = _sample_paths(frame, initial, samples, lambda members, j: uniforms[members, j],
+                          record_policy="always", require_detection=False, steps=steps)
+    counts = {tuple(rec.outcome for rec in path.history): path.members.size
+              for path in paths}
+    tv = 0.0
+    for key in set(exact) | set(counts):
+        tv += abs(counts.get(key, 0) / samples - exact.get(key, 0.0))
+    return 0.5 * tv

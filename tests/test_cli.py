@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -426,3 +429,26 @@ class TestRestrictionsConfig:
         assert cli.main(["detect", "--config", cfg]) == 3
         out = json.loads(capsys.readouterr().out)
         assert out["verdicts"][0]["distance"] == pytest.approx(17.0 / 30.0, rel=1e-9)
+
+
+class TestColdImport:
+    def test_detect_never_loads_scipy(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        script = (
+            "import sys\n"
+            "import qevents\n"
+            "import qevents.cli\n"
+            "assert 'scipy' not in sys.modules, 'import qevents loaded scipy'\n"
+            "code = qevents.cli.main(sys.argv[1:])\n"
+            "assert 'scipy' not in sys.modules, 'qevents detect loaded scipy'\n"
+            "sys.exit(code)\n"
+        )
+        out = tmp_path / "detect.json"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "detect",
+             "--config", str(CONFIGS / "hadamard3.json"), "--out", str(out)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode in (0, 3), proc.stderr
+        assert json.loads(out.read_text())["command"] == "detect"

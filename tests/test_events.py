@@ -47,6 +47,11 @@ class TestFrameConstruction:
         with pytest.raises(InvariantViolation, match="unitary"):
             HeisenbergFrame((1.0, 2.0), (I2, 2 * I2), ((PART,), (PART,)), (None, None))
 
+    def test_propagators_must_share_the_dimension(self):
+        with pytest.raises(ValueError, match="dimension"):
+            HeisenbergFrame((1.0, 2.0), (I2, np.eye(3, dtype=complex)),
+                            ((PART,), (PART,)), (None, None))
+
     def test_step_propagator_builds_powers(self):
         fr = hadamard_frame(3)
         np.testing.assert_allclose(fr.propagators[0], I2, atol=1e-12)

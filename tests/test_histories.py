@@ -3,10 +3,11 @@ import pytest
 
 from qevents import (DensityState, HeisenbergFrame, MeasurementProtocol,
                      PartitionOfUnity, commuting_realization, consistency_check,
-                     DeFinettiModel, enumerate_protocols, lsw_probability,
-                     sampler_vs_measure)
+                     DeFinettiModel, enumerate_protocols, exact_protocol_probability,
+                     lsw_probability, operator_norm, sampler_vs_measure)
+from qevents.histories import _clamp, _walk_outcome_tree
 
-from _helpers import random_density, random_unitary, rng
+from _helpers import random_density, random_unitary, reference_sampler_vs_measure, rng
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E22 = np.diag([0.0, 1.0]).astype(complex)
@@ -144,13 +145,96 @@ class TestSamplerAgreement:
         tv = sampler_vs_measure(fr, RHO_37, 2, 20000, seed=8)
         assert tv < 0.05
 
+    def test_acceptance_value_is_unchanged(self):
+        tv = sampler_vs_measure(hadamard_frame(3), PLUS, 3, 10 ** 6, seed=0)
+        assert tv == 0.0010719999999999966
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_per_protocol_oracle_bit_for_bit(self, seed):
+        gen = rng(40 + seed)
+        dim = int(gen.integers(2, 5))
+        base = PartitionOfUnity.from_observable(np.diag(np.arange(dim)).astype(complex))
+        frame = HeisenbergFrame.build((1.0, 2.0, 3.0), base,
+                                      step_propagator=random_unitary(gen, dim))
+        state = random_density(gen, dim)
+        assert (sampler_vs_measure(frame, state, 3, 5000, seed=seed)
+                == reference_sampler_vs_measure(frame, state, 3, 5000, seed=seed))
+
     @pytest.mark.parametrize("samples", [0, -3])
     def test_needs_at_least_one_sample(self, samples):
         with pytest.raises(ValueError, match="at least 1"):
             sampler_vs_measure(hadamard_frame(2), RHO_37, 2, samples)
 
 
+class TestExactMeasureWalk:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_leaves_are_the_lsw_probabilities_bit_for_bit(self, seed):
+        gen = rng(seed)
+        dim = int(gen.integers(2, 5))
+        base = PartitionOfUnity.from_observable(np.diag(np.arange(dim)).astype(complex))
+        times = (1.0, 2.0, 3.0)
+        frame = HeisenbergFrame.build(times, base, step_propagator=random_unitary(gen, dim))
+        state = random_density(gen, dim)
+        exact = {}
+        _walk_outcome_tree(frame, state, 3, lambda outcomes, mass: exact.update(
+            {outcomes: _clamp(mass)}))
+        protocols = enumerate_protocols(frame, 3)
+        assert list(exact) == [p.outcomes for p in protocols]
+        assert list(exact.values()) == [lsw_probability(frame, state, p) for p in protocols]
+
+    def test_too_many_steps_is_a_value_error(self):
+        with pytest.raises(ValueError, match="steps requested"):
+            consistency_check(static_frame(2), RHO_37, 3)
+
+
+def dense_lsw(frame, state, protocol):
+    """The history probability by dense products, whatever the structure."""
+    sigma = state.matrix
+    for t, label in zip(protocol.times, protocol.outcomes):
+        P = frame.partitions[frame.index_of(t)][0].projection_for(label)
+        sigma = P @ sigma @ P
+    return float(np.real(np.trace(sigma)))
+
+
+REALIZATIONS = [  # (weights, click probabilities, n): dims 16, 48, 128, 256, 512
+    ((0.4, 0.6), (0.8, 0.3), 3),
+    ((0.2, 0.3, 0.5), (0.1, 0.5, 0.9), 4),
+    ((0.5, 0.5), (0.25, 0.7), 6),
+    ((0.1, 0.2, 0.3, 0.4), (0.05, 0.35, 0.6, 0.95), 6),
+    ((0.3, 0.7), (0.45, 0.9), 8),
+]
+
+
 class TestCommutingModels:
+    @pytest.mark.parametrize("weights,p_plus,n", REALIZATIONS)
+    def test_diagonal_products_match_dense_and_exact(self, weights, p_plus, n):
+        model = DeFinettiModel(np.array(weights), np.array(p_plus))
+        frame, state = commuting_realization(model, n)
+        assert all(c[0].diagonals is not None for c in frame.partitions)
+        gen = rng(n)
+        for length in (1, n // 2, n):
+            word = tuple(int(x) for x in gen.choice((1, -1), size=length))
+            protocol = MeasurementProtocol(word, frame.times[:length])
+            value = lsw_probability(frame, state, protocol)
+            assert value == pytest.approx(dense_lsw(frame, state, protocol), abs=1e-15)
+            assert value == pytest.approx(exact_protocol_probability(model, word), abs=1e-15)
+
+    def test_no_svd_or_eigensolver_on_diagonal_input(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense linear algebra on a diagonal model")
+
+        for name in ("svd", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+            monkeypatch.setattr(np.linalg._linalg, name, refuse)
+        with pytest.raises(AssertionError):
+            operator_norm(np.ones((2, 2)))       # the patch reaches numpy's norm
+        model = DeFinettiModel(np.array([0.3, 0.7]), np.array([0.45, 0.9]))
+        frame, state = commuting_realization(model, 8)   # dim 512
+        assert state.dim == 512
+        word = (1, -1, -1, 1, 1, 1, -1, 1)
+        value = lsw_probability(frame, state, MeasurementProtocol(word, frame.times))
+        assert value == pytest.approx(exact_protocol_probability(model, word), abs=1e-15)
+
     def test_mixture_realization_is_exactly_consistent(self):
         model = DeFinettiModel(np.array([0.4, 0.6]), np.array([0.8, 0.3]))
         frame, state = commuting_realization(model, 3)

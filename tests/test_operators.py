@@ -3,12 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qevents import (DensityState, InvariantViolation, PartitionOfUnity,
-                     adjoint, antihermitian_defect, conjugate, is_hermitian,
-                     is_projection, is_unitary, operator_from_json,
+from qevents import (DEFAULT_TOL, DensityState, HeisenbergFrame, InvariantViolation,
+                     PartitionOfUnity, adjoint, antihermitian_defect, conjugate,
+                     is_hermitian, is_projection, is_unitary, operator_from_json,
                      operator_norm, operator_to_json, spectral_decompose)
+from qevents.operators import _checked_norm, _unitarity_defect, validate_projection_family
 
-from _helpers import random_density, random_hermitian, random_unitary, rng
+from _helpers import (outcome, random_blocks, random_density, random_hermitian,
+                      random_unitary, reference_unitarity_defect,
+                      reference_validate_density, reference_validate_projection_family,
+                      rng)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -185,3 +189,186 @@ class TestJsonRoundTrip:
         assert obj["dim"] == 2
         assert obj["re"] == [[1.0, 0.0], [0.0, 1.0]]
         assert obj["im"] == [[0.0, 0.0], [0.0, 0.0]]
+
+
+# Perturbations of spectral norm ``eps`` at entry (i, i) or (i, j), i != j.
+PERTURBATIONS = ("diag-real", "diag-imag", "offdiag-hermitian", "offdiag-antihermitian")
+# Multiples of DEFAULT_TOL on both sides of every check.
+SCALES = (0.5, 0.99, 1.01, 2.0)
+
+
+def perturbation(kind: str, dim: int, i: int, eps: float) -> np.ndarray:
+    E = np.zeros((dim, dim), dtype=complex)
+    j = (i + 1) % dim
+    if kind == "diag-real":
+        E[i, i] = eps
+    elif kind == "diag-imag":
+        E[i, i] = 1j * eps
+    elif kind == "offdiag-hermitian":
+        E[i, j] = E[j, i] = eps
+    else:
+        E[i, j], E[j, i] = eps, -eps
+    return E
+
+
+def frame_with(propagators):
+    one = PartitionOfUnity((0,), (np.eye(propagators[0].shape[0], dtype=complex),))
+    return HeisenbergFrame(tuple(float(k) for k in range(len(propagators))),
+                           tuple(propagators), tuple((one,) for _ in propagators),
+                           (None,) * len(propagators))
+
+
+class TestExactValidation:
+    """Frobenius-first and diagonal checks against the SVD-based originals."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 31 - 1), dim=st.integers(2, 6), blocks=st.integers(1, 4),
+           rotate=st.booleans(), kind=st.sampled_from(PERTURBATIONS),
+           scale=st.sampled_from(SCALES))
+    def test_projection_family_matches_the_svd_oracle(self, seed, dim, blocks, rotate,
+                                                      kind, scale):
+        gen = rng(seed)
+        projs = random_blocks(gen, dim, min(blocks, dim))
+        k = int(gen.integers(len(projs)))
+        projs[k] = projs[k] + perturbation(kind, dim, int(gen.integers(dim)),
+                                           scale * DEFAULT_TOL)
+        if rotate:
+            U = random_unitary(gen, dim)
+            projs = [adjoint(U) @ P @ U for P in projs]
+        expected = outcome(reference_validate_projection_family, projs)
+        assert outcome(validate_projection_family, projs) == expected
+        if expected[0] is None:
+            PartitionOfUnity(tuple(range(len(projs))), tuple(projs))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 31 - 1), dim=st.integers(2, 6), rotate=st.booleans(),
+           kind=st.sampled_from(("diag-imag", "offdiag-antihermitian", "negative", "trace")),
+           scale=st.sampled_from(SCALES))
+    def test_density_state_matches_the_oracle(self, seed, dim, rotate, kind, scale):
+        gen = rng(seed)
+        eps = scale * DEFAULT_TOL
+        p = gen.dirichlet(np.ones(dim))
+        if kind == "negative":
+            p[0] = -eps
+            p[1:] *= (1.0 + eps) / p[1:].sum()
+        M = np.diag(p).astype(complex)
+        if kind == "trace":
+            M = M * (1.0 + eps)
+        elif kind != "negative":
+            M = M + perturbation(kind, dim, int(gen.integers(dim)), eps)
+        if rotate:
+            U = random_unitary(gen, dim)
+            M = adjoint(U) @ M @ U
+        assert outcome(DensityState, M) == outcome(reference_validate_density, M)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 31 - 1), dim=st.integers(2, 6), rotate=st.booleans(),
+           kind=st.sampled_from(("stretch", "initial-phase")), scale=st.sampled_from(SCALES))
+    def test_unitarity_checks_match_the_oracle(self, seed, dim, rotate, kind, scale):
+        gen = rng(seed)
+        eps = scale * DEFAULT_TOL
+        i = int(gen.integers(dim))
+        U = np.diag(np.exp(2j * np.pi * gen.random(dim)))
+        if kind == "stretch":
+            U[i, i] *= np.sqrt(1.0 + eps)        # ||U*U - 1|| = eps
+        else:
+            U[i, i] = np.exp(2j * np.arcsin(eps / 2.0))  # unitary, ||U - 1|| = eps
+        if rotate:
+            U = random_unitary(gen, dim) @ U
+        tol = DEFAULT_TOL
+        ref = reference_unitarity_defect(U)
+        got = _unitarity_defect(U, tol)
+        assert (got > tol) == (ref > tol)
+        if ref > tol:
+            assert got == pytest.approx(ref, rel=1e-12)
+        assert is_unitary(U) == (ref <= tol)
+        expected = (None, None) if ref <= tol else (
+            InvariantViolation, f"conjugation frame is not unitary: ||U*U - 1|| = {ref:.3e}")
+        assert outcome(conjugate, np.eye(dim), U) == expected
+
+        props = (U, U) if kind == "initial-phase" else (np.eye(dim, dtype=complex), U)
+        if ref > tol:
+            expected = (InvariantViolation, f"propagator at time 1.0 not unitary: {ref:.3e}")
+        else:
+            r0 = operator_norm(props[0] - np.eye(dim))
+            expected = (None, None) if r0 <= tol else (
+                InvariantViolation,
+                f"propagator at the initial time must be the identity: {r0:.3e}")
+        assert outcome(frame_with, props) == expected
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 31 - 1), dim=st.integers(1, 6), diagonal=st.booleans(),
+           rank=st.integers(1, 6), scale=st.sampled_from(SCALES))
+    def test_checked_norm_decides_like_the_svd(self, seed, dim, diagonal, rank, scale):
+        gen = rng(seed)
+        if diagonal:
+            X = np.diag(gen.standard_normal(dim) + 1j * gen.standard_normal(dim))
+        else:
+            G = gen.standard_normal((dim, min(rank, dim))) + 1j * gen.standard_normal(
+                (dim, min(rank, dim)))
+            X = G @ adjoint(G)
+        X = X * (scale * DEFAULT_TOL / operator_norm(X))
+        ref = operator_norm(X)
+        for arg in ((X, np.diagonal(X)) if diagonal else (X,)):
+            got = _checked_norm(arg, DEFAULT_TOL)
+            assert (got > DEFAULT_TOL) == (ref > DEFAULT_TOL)
+            if ref > DEFAULT_TOL:
+                assert got == pytest.approx(ref, rel=1e-12)
+
+    def test_diagonal_bound_passes_where_frobenius_fails(self):
+        X = np.diag(np.full(512, 0.5 * DEFAULT_TOL))   # Frobenius norm 11 x tol
+        assert _checked_norm(X, DEFAULT_TOL) == 0.5 * DEFAULT_TOL
+
+
+class TestNonFiniteInput:
+    """NaN or inf entries never take the diagonal path.
+
+    Every such partition, state and propagator is rejected: by the SVD with
+    ``LinAlgError``, as the SVD-only checks did, or, where the SVD returns a
+    NaN norm for infinite entries, as failing its check.
+    """
+
+    ENTRIES = [(np.nan, (1, 1)), (np.nan, (0, 1)), (np.inf, (1, 1)), (np.inf, (0, 1))]
+
+    @staticmethod
+    def with_entry(M, value, where):
+        M = np.array(M, dtype=complex)
+        M[where] = value
+        return M
+
+    @pytest.mark.parametrize("value,where", ENTRIES)
+    def test_partition(self, value, where):
+        P = self.with_entry(np.diag([1.0, 0.0]), value, where)
+        projs = (P, np.eye(2) - P)
+        with np.errstate(invalid="ignore"):
+            got = outcome(PartitionOfUnity, (1, -1), projs)
+            expected = outcome(reference_validate_projection_family, projs)
+        if value == np.inf and where == (0, 1):
+            # the SVD's NaN norm let the Hermiticity check pass, and the
+            # next check raised LinAlgError; now Hermiticity fails first
+            assert got == (InvariantViolation, "projection 0 not Hermitian: defect inf")
+        else:
+            assert got == expected
+            assert got[0] is np.linalg.LinAlgError
+
+    @pytest.mark.parametrize("value,where", ENTRIES)
+    def test_state(self, value, where):
+        M = self.with_entry(np.diag([0.5, 0.5]), value, where)
+        with np.errstate(invalid="ignore"):
+            got = outcome(DensityState, M)
+            expected = outcome(reference_validate_density, M)
+        if value == np.inf and where == (0, 1):
+            assert expected == (None, None)        # the SVD-only check accepted it
+            assert got == (InvariantViolation, "density matrix not Hermitian: defect inf")
+        else:
+            assert got == expected
+            assert got[0] is np.linalg.LinAlgError
+
+    @pytest.mark.parametrize("value,where", ENTRIES)
+    @pytest.mark.parametrize("initial", [True, False])
+    def test_propagator(self, value, where, initial):
+        U = self.with_entry(np.eye(2), value, where)
+        props = (U, np.eye(2, dtype=complex)) if initial else (np.eye(2, dtype=complex), U)
+        with np.errstate(invalid="ignore"):
+            assert outcome(frame_with, props)[0] is np.linalg.LinAlgError
+            assert outcome(reference_unitarity_defect, U)[0] is np.linalg.LinAlgError
