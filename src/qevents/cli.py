@@ -107,6 +107,14 @@ def _partition(obj, dim: int, ctx: str) -> PartitionOfUnity:
     raise ConfigError(f"{ctx}: partition needs 'diagonal_labels' or 'labels'+'projections'")
 
 
+def _number(value, ctx: str, kind=float):
+    """``kind(value)``, or a ConfigError naming ``ctx`` when value is not a number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{ctx} must be a number, got {value!r}") from None
+
+
 def _label(obj):
     if isinstance(obj, (str, int, bool)):
         return obj
@@ -271,10 +279,10 @@ def _to_csv(columns: list[str], rows: list[dict]) -> str:
 def cmd_detect(cfg: dict, seed: int):
     frame, initial = _build_frame(cfg["model"])
     run = cfg.get("run", {})
-    safety = float(run.get("safety", 0.5))
+    safety = _number(run.get("safety", 0.5), "run.safety")
 
     if "time" in run:
-        k = frame.index_of(float(run["time"]))
+        k = frame.index_of(_number(run["time"], "run.time"))
         verdicts = [[detect_event(frame, initial, frame.times[k], p, safety=safety)
                      for p in frame.partitions[k]]]
         happened = any(v.happened for v in verdicts[0])
@@ -306,15 +314,15 @@ def cmd_detect(cfg: dict, seed: int):
 def cmd_trajectory(cfg: dict, seed: int):
     frame, initial = _build_frame(cfg["model"])
     run = cfg.get("run", {})
-    samples = int(run.get("samples", 1))
+    samples = _number(run.get("samples", 1), "run.samples", int)
     if samples < 1:
         raise ConfigError("run.samples must be at least 1")
     policy = run.get("record_policy", "always")
     if policy not in ("always", "never"):
         raise ConfigError(f"run.record_policy must be 'always' or 'never', got {policy!r}")
-    safety = float(run.get("safety", 0.5))
+    safety = _number(run.get("safety", 0.5), "run.safety")
     require_detection = bool(run.get("require_detection", True))
-    keep = int(run.get("keep_histories", 10))
+    keep = _number(run.get("keep_histories", 10), "run.keep_histories", int)
 
     # sample i keeps its own stream: its j-th event takes the j-th uniform of
     # substream(seed, i), whatever the other samples draw
@@ -357,7 +365,7 @@ def cmd_lsw(cfg: dict, seed: int, check_consistency: bool):
     raw = _get(run, "protocol", "run")
     if isinstance(raw, dict):
         outcomes = [_label(l) for l in _get(raw, "outcomes", "run.protocol")]
-        times = [float(t) for t in _get(raw, "times", "run.protocol")]
+        times = [_number(t, "run.protocol.times") for t in _get(raw, "times", "run.protocol")]
     else:
         outcomes = [_label(l) for l in raw]
         times = list(frame.times[:len(outcomes)])
@@ -375,7 +383,7 @@ def cmd_lsw(cfg: dict, seed: int, check_consistency: bool):
         "probability": probability,
     }
     if check_consistency:
-        steps = int(run.get("steps", len(frame.times)))
+        steps = _number(run.get("steps", len(frame.times)), "run.steps", int)
         report = consistency_check(frame, initial, steps)
         payload["consistency"] = {
             "steps": report.steps, "leaves": report.leaves,
@@ -392,22 +400,24 @@ def cmd_mesoscopic(cfg: dict, seed: int):
     n_values = run.get("n_values", [50, 200, 500])
     if not isinstance(n_values, list) or not n_values:
         raise ConfigError("run.n_values must be a nonempty list")
-    count = int(run.get("count", 0))
+    n_values = [_number(n, "run.n_values", int) for n in n_values]
+    count = _number(run.get("count", 0), "run.count", int)
     if count < 0:
         raise ConfigError("run.count must be nonnegative")
-    cls_exp = float(run.get("classification_exponent", CLASSIFICATION_EXPONENT))
-    threshold = float(run.get("calibration_threshold", math.exp(-1.0)))
+    cls_exp = _number(run.get("classification_exponent", CLASSIFICATION_EXPONENT),
+                      "run.classification_exponent")
+    threshold = _number(run.get("calibration_threshold", math.exp(-1.0)),
+                        "run.calibration_threshold")
+    decay_exp = _number(run.get("decay_exponent", DECAY_EXPONENT), "run.decay_exponent")
 
     try:
-        dt = detection_time(model, threshold=threshold,
-                            exponent=float(run.get("decay_exponent", DECAY_EXPONENT)))
+        dt = detection_time(model, threshold=threshold, exponent=decay_exp)
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from None
 
     H = model.num_hypotheses
     rows = []
     for n in n_values:
-        n = int(n)
         try:
             exp = born_rule_experiment(model, n, count, seed=seed, exponent=cls_exp)
         except ValueError as exc:
@@ -432,8 +442,10 @@ def cmd_mesoscopic(cfg: dict, seed: int):
                 "coverage": exp.coverage, "exact_coverage": exp.exact_coverage,
                 "mean_posterior_entropy_bits": entropy_by_nu[nu],
                 "cross_mass": cross,
+                # cross <= 1, so abs() is the negation, except that a mass of
+                # exactly 1 gives a rate of 0.0 rather than -0.0
                 "cross_rate_nats": (None if cross is None or cross <= 0.0
-                                    else -math.log(cross) / n),
+                                    else abs(math.log(cross)) / n),
                 "sigma_min_rate_nats": (min(relative_entropy(model, nu, j)
                                             for j in others) * LN2 if others else None),
             })
@@ -493,7 +505,8 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config, _MODEL_KINDS[args.command])
         run = cfg.get("run", {})
         output = cfg.get("output", {})
-        seed = args.seed if args.seed is not None else int(run.get("seed", 0))
+        seed = (args.seed if args.seed is not None
+                else _number(run.get("seed", 0), "run.seed", int))
         fmt = args.format or output.get("format", "json")
         if fmt not in ("json", "csv"):
             raise ConfigError(f"output.format must be 'json' or 'csv', got {fmt!r}")

@@ -24,10 +24,6 @@ from .events import HeisenbergFrame
 from .operators import DensityState, PartitionOfUnity
 from .seeding import substream
 
-# scipy (logsumexp, xlogy, binom) is imported inside the functions that use
-# it: loading it takes most of a second, which commands that never touch the
-# mixture statistics should not pay.
-
 __all__ = [
     "DeFinettiModel",
     "ClassificationBand",
@@ -62,6 +58,73 @@ DECAY_EXPONENT = 0.45
 LN2 = math.log(2.0)
 
 
+def _xlogy(x, y) -> np.ndarray:
+    """x * log(y), taken as 0 wherever x is 0 (also where y is 0)."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0.0, 0.0, x * np.log(y))
+
+
+def _logsumexp(a) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis.
+
+    With m entries equal to the maximum a_max and s the sum of exp(a - a_max)
+    over the others, the result is log1p(s/m) + log(m) + a_max: the largest
+    terms stay out of the sum, so no precision is lost near log 1.  A row
+    that is all -inf gives -inf.
+    """
+    a = np.asarray(a, dtype=float)
+    a_max = a.max(axis=-1, keepdims=True)
+    top = a == a_max
+    with np.errstate(invalid="ignore"):
+        rest = np.where(top, 0.0, np.exp(a - a_max)).sum(axis=-1, keepdims=True)
+    m = top.sum(axis=-1, keepdims=True)
+    return (np.log1p(rest / m) + np.log(m) + a_max)[..., 0]
+
+
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.lgamma, x.tolist()), float, x.size)
+
+
+def _binom_logpmf(ks, n: int, p: float) -> np.ndarray:
+    """log of the binomial(n, p) mass at the integers ``ks`` in 0..n.
+
+    lgamma(n+1) - (lgamma(k+1) + lgamma(n-k+1)) + k*log(p) + (n-k)*log1p(-p),
+    each product taken as 0 where its count is 0, so p = 0 and p = 1 give
+    exact point masses.  The lgamma terms are of size n*log(n) and cancel,
+    so the absolute error grows like n*log(n) ulps; ``_binom_pmf`` is the
+    accurate choice when the masses themselves are wanted.
+    """
+    ks = np.asarray(ks, dtype=float)
+    rest = n - ks
+    log_comb = math.lgamma(n + 1) - (_lgamma(ks + 1) + _lgamma(rest + 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = np.where(rest == 0.0, 0.0, rest * np.log1p(-p))
+    return log_comb + _xlogy(ks, p) + tail
+
+
+def _binom_pmf(n: int, p: float) -> np.ndarray:
+    """The binomial(n, p) masses at k = 0..n.
+
+    Starts from 1 at the mode and walks outward with the ratio
+    pmf(k+1)/pmf(k) = (n-k)/(k+1) * p/(1-p), then divides by the total.
+    The walk only shrinks, so nothing overflows, and each mass is off by a
+    few ulps per step from the mode.
+    """
+    if p == 0.0 or p == 1.0:
+        pmf = np.zeros(n + 1)
+        pmf[0 if p == 0.0 else n] = 1.0
+        return pmf
+    ks = np.arange(n)
+    ratio = (n - ks) / (ks + 1) * (p / (1.0 - p))      # pmf(k+1) / pmf(k)
+    mode = min(int((n + 1) * p), n)
+    walk = np.empty(n + 1)
+    walk[mode] = 1.0
+    walk[mode + 1:] = np.cumprod(ratio[mode:])
+    walk[:mode] = np.cumprod(1.0 / ratio[:mode][::-1])[::-1]
+    return walk / walk.sum()
+
+
 @dataclass(frozen=True, eq=False)
 class DeFinettiModel:
     """Mixture of i.i.d. two-outcome click sources with latent label nu.
@@ -81,6 +144,8 @@ class DeFinettiModel:
         p = np.asarray(self.p_plus, dtype=float)
         if w.ndim != 1 or p.ndim != 1 or w.shape != p.shape or w.size == 0:
             raise ValueError("weights and p_plus must be equal-length 1-D arrays")
+        if not (np.isfinite(w).all() and np.isfinite(p).all()):
+            raise ValueError("prior weights and click probabilities must be finite")
         if w.min() < -SIMPLEX_TOL:
             raise ValueError(f"negative prior weight {w.min()!r}")
         if abs(w.sum() - 1.0) > SIMPLEX_TOL:
@@ -141,6 +206,8 @@ class ClassificationBand:
         """
         if not 0.0 < exponent < 0.5:
             raise ValueError(f"schedule exponent must lie in (0, 1/2), got {exponent!r}")
+        if int(n) != n or n < 2:
+            raise ValueError(f"schedules start at n = 2, got {n!r}")
         return cls(int(n), float(n) ** (-exponent))
 
 
@@ -319,8 +386,6 @@ def born_rule_experiment(model: DeFinettiModel, n: int, count: int,
     and the classified fraction (coverage) converges to 1; at small n the
     exact columns quantify how far short the bands fall.
     """
-    from scipy.stats import binom
-
     n = int(n)
     band = ClassificationBand.from_schedule(n, exponent)
     H = model.num_hypotheses
@@ -335,7 +400,7 @@ def born_rule_experiment(model: DeFinettiModel, n: int, count: int,
         matches = _band_matches(fgrid, model, band)        # (n+1, H)
     hits = matches.sum(axis=1)
     unique = hits == 1
-    pmf = np.stack([binom.pmf(ks, n, p) for p in model.p_plus])  # (H, n+1)
+    pmf = np.stack([_binom_pmf(n, p) for p in model.p_plus])     # (H, n+1)
     mixture_pmf = model.weights @ pmf                             # (n+1,)
     exact_mass = {nu: float(mixture_pmf @ (matches[:, nu] & unique))
                   for nu in range(H)}
@@ -367,13 +432,11 @@ class Posterior(NamedTuple):
 
 def _log_posterior_rows(model: DeFinettiModel, plus_counts: np.ndarray,
                         n: int) -> np.ndarray:
-    from scipy.special import xlogy
-
     ks = np.asarray(plus_counts, dtype=float)[:, None]
     ms = n - ks
     with np.errstate(divide="ignore"):
         log_prior = np.log(model.weights)[None, :]
-    return log_prior + xlogy(ks, model.p_plus) + xlogy(ms, model.p_minus)
+    return log_prior + _xlogy(ks, model.p_plus) + _xlogy(ms, model.p_minus)
 
 
 def posterior(model: DeFinettiModel, protocol) -> Posterior:
@@ -382,12 +445,10 @@ def posterior(model: DeFinettiModel, protocol) -> Posterior:
     The empty protocol returns the prior.  A protocol every hypothesis gives
     probability zero is an error.
     """
-    from scipy.special import logsumexp
-
     arr = _as_outcome_array(protocol)
     k = int((arr == 1).sum())
     lw = _log_posterior_rows(model, np.array([k]), arr.size)[0]
-    total = logsumexp(lw)
+    total = _logsumexp(lw)
     if not np.isfinite(total):
         raise ValueError("zero-probability protocol has no posterior")
     norm = lw - total
@@ -398,10 +459,8 @@ def posterior(model: DeFinettiModel, protocol) -> Posterior:
 
 def posterior_entropies(model: DeFinettiModel, sample: ProtocolSample) -> np.ndarray:
     """Posterior entropy in bits for every protocol of a sample, vectorized."""
-    from scipy.special import logsumexp
-
     lw = _log_posterior_rows(model, sample.plus_counts(), sample.n)
-    totals = logsumexp(lw, axis=1)
+    totals = _logsumexp(lw)
     if not np.isfinite(totals).all():
         raise ValueError("zero-probability protocol has no posterior")
     norm = lw - totals[:, None]
@@ -418,7 +477,11 @@ def relative_entropy(model: DeFinettiModel, nu1: int, nu2: int) -> float:
     H = model.num_hypotheses
     if not (0 <= nu1 < H and 0 <= nu2 < H):
         raise IndexError(f"hypothesis labels must lie in 0..{H - 1}")
-    p, q = float(model.p_plus[nu1]), float(model.p_plus[nu2])
+    return _kl_bernoulli_bits(float(model.p_plus[nu1]), float(model.p_plus[nu2]))
+
+
+def _kl_bernoulli_bits(p: float, q: float) -> float:
+    """Divergence of the click distribution p(+1) = p from p(+1) = q, in bits."""
     total = 0.0
     for a, b in ((p, q), (1.0 - p, 1.0 - q)):
         if a == 0.0:
@@ -430,26 +493,15 @@ def relative_entropy(model: DeFinettiModel, nu1: int, nu2: int) -> float:
 
 
 def log_band_mass(n: int, epsilon: float, center: float, q: float) -> float:
-    """log of the exact binomial mass of {k : |k/n - center| < epsilon} under q."""
-    from scipy.special import logsumexp
-    from scipy.stats import binom
+    """log of the exact binomial mass of {k : |k/n - center| < epsilon} under q.
 
+    Clamped at 0: rounding can push a band that holds all the mass just above it.
+    """
     ks = np.arange(n + 1)
     mask = np.abs(ks / n - center) < epsilon
     if not mask.any():
         return -math.inf
-    return float(logsumexp(binom.logpmf(ks[mask], n, q)))
-
-
-def _kl_bernoulli_nats(f: float, q: float) -> float:
-    total = 0.0
-    for a, b in ((f, q), (1.0 - f, 1.0 - q)):
-        if a == 0.0:
-            continue
-        if b == 0.0:
-            return math.inf
-        total += a * math.log(a / b)
-    return max(total, 0.0)
+    return min(float(_logsumexp(_binom_logpmf(ks[mask], n, q))), 0.0)
 
 
 @dataclass(frozen=True)
@@ -509,18 +561,21 @@ def sanov_check(model: DeFinettiModel, nu1: int, nu2: int,
                 f"band half-width {eps:.4g} at n={n} reaches half the "
                 f"click-probability gap {model.kappa:.4g}; bands would overlap")
         log_mass = log_band_mass(n, eps, p1, q)
-        mass = math.exp(log_mass) if log_mass > -math.inf else 0.0
+        mass = math.exp(log_mass)
         empirical_rate = -log_mass / n
         f_star = min(max(q, p1 - eps), p1 + eps)
         f_star = min(max(f_star, 0.0), 1.0)
-        band_kl = _kl_bernoulli_nats(f_star, q)
+        band_kl = _kl_bernoulli_bits(f_star, q) * LN2
         rows.append(SanovRow(n, eps, mass, log_mass, empirical_rate,
                              band_kl, sigma_nats))
 
     if not rows:
         raise ValueError("need at least one protocol length")
     log_c = max(r.log_mass + r.n * r.sigma_rate for r in rows)
-    prefactor = math.exp(log_c) if log_c > -math.inf else 0.0
+    try:
+        prefactor = math.exp(log_c)
+    except OverflowError:       # log_c > 709.78: C is past the largest float
+        prefactor = math.inf
     certified = all(r.log_mass <= log_c - r.n * r.sigma_rate + 1e-9 for r in rows)
     return SanovReport(int(nu1), int(nu2), sigma_bits, sigma_nats,
                        tuple(rows), prefactor, certified)

@@ -201,6 +201,11 @@ class TestTrajectory:
         assert out["histogram"] == []
         assert all(h == [] for h in out["histories"])
 
+    def test_non_numeric_samples_is_a_config_error(self, tmp_path, capsys):
+        cfg = hadamard_config(tmp_path, samples="many")
+        assert cli.main(["trajectory", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("config error: run.samples")
+
     def test_invalid_record_policy(self, tmp_path, capsys):
         cfg = hadamard_config(tmp_path, record_policy="sometimes")
         assert cli.main(["trajectory", "--config", cfg]) == 1
@@ -353,6 +358,26 @@ class TestMesoscopic:
         assert cli.main(["mesoscopic", "--config", cfg]) == 1
         capsys.readouterr()
 
+    def test_zero_length_protocol_is_a_config_error(self, tmp_path, capsys):
+        cfg = mixture_config(tmp_path, n_values=[0])
+        assert cli.main(["mesoscopic", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("config error: run.n_values: n=0")
+
+    def test_non_numeric_n_values_is_a_config_error(self, tmp_path, capsys):
+        cfg = mixture_config(tmp_path, n_values=["ten"])
+        assert cli.main(["mesoscopic", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("config error: run.n_values")
+
+    @pytest.mark.parametrize("field", ["weights", "p_plus"])
+    def test_nan_in_the_model_is_a_config_error(self, tmp_path, capsys, field):
+        model = {"kind": "mixture", "weights": [0.4, 0.6], "p_plus": [0.8, 0.3]}
+        model[field] = [float("nan"), model[field][1]]
+        # json writes NaN as a bare literal, which json.load accepts
+        cfg = write_config(tmp_path, {"schema": SCHEMA, "model": model})
+        assert "NaN" in Path(cfg).read_text()
+        assert cli.main(["mesoscopic", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("config error: model:")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("command,builder,extra", [
@@ -431,24 +456,52 @@ class TestRestrictionsConfig:
         assert out["verdicts"][0]["distance"] == pytest.approx(17.0 / 30.0, rel=1e-9)
 
 
+def demo_runs():
+    """(command, config path) for every subcommand a demo config is written for."""
+    runs = []
+    for path in sorted(CONFIGS.glob("*.json")):
+        cfg = json.loads(path.read_text())
+        if cfg["model"]["kind"] == "mixture":
+            runs.append(("mesoscopic", path))
+            continue
+        runs += [("detect", path), ("trajectory", path)]
+        if "protocol" in cfg.get("run", {}):
+            runs.append(("lsw", path))
+    return runs
+
+
 class TestColdImport:
-    def test_detect_never_loads_scipy(self, tmp_path):
-        src = str(Path(cli.__file__).resolve().parents[1])
+    @pytest.mark.filterwarnings("ignore:band half-width")
+    def test_demo_configs_run_without_scipy(self, tmp_path):
+        """Every subcommand runs with scipy unimportable, byte for byte as in-process."""
+        runs = demo_runs()
+        assert {command for command, _ in runs} == {"detect", "trajectory", "lsw",
+                                                    "mesoscopic"}
+        # one subprocess runs them all: sys.modules['scipy'] = None makes any
+        # import of scipy raise ImportError
         script = (
-            "import sys\n"
-            "import qevents\n"
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
             "import qevents.cli\n"
-            "assert 'scipy' not in sys.modules, 'import qevents loaded scipy'\n"
-            "code = qevents.cli.main(sys.argv[1:])\n"
-            "assert 'scipy' not in sys.modules, 'qevents detect loaded scipy'\n"
-            "sys.exit(code)\n"
+            "runs = json.loads(sys.argv[1])\n"
+            "codes = [qevents.cli.main(argv) for argv in runs]\n"
+            "print(json.dumps(codes))\n"
         )
-        out = tmp_path / "detect.json"
+        argvs, expected = [], []
+        for i, (command, path) in enumerate(runs):
+            tail = ["--check-consistency"] if command == "lsw" else []
+            argv = [command, "--config", str(path)] + tail
+            argvs.append(argv + ["--out", str(tmp_path / f"cold{i}.json")])
+            code = cli.main(argv + ["--out", str(tmp_path / f"warm{i}.json")])
+            assert code in (0, 3), (command, path.name)
+            expected.append(code)
+        src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "detect",
-             "--config", str(CONFIGS / "hadamard3.json"), "--out", str(out)],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode in (0, 3), proc.stderr
-        assert json.loads(out.read_text())["command"] == "detect"
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == expected
+        for i, (command, path) in enumerate(runs):
+            cold = (tmp_path / f"cold{i}.json").read_bytes()
+            assert cold == (tmp_path / f"warm{i}.json").read_bytes(), (command, path.name)

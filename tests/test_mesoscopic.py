@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp, xlogy
 from scipy.stats import binom
 
 from qevents import (ClassificationBand, DeFinettiModel, born_rule_experiment,
@@ -10,7 +11,8 @@ from qevents import (ClassificationBand, DeFinettiModel, born_rule_experiment,
                      lsw_probability, posterior, posterior_entropies,
                      relative_entropy, sample_protocols, sanov_check)
 from qevents.histories import MeasurementProtocol
-from qevents.mesoscopic import log_band_mass
+from qevents.mesoscopic import (_binom_logpmf, _binom_pmf, _logsumexp, _xlogy,
+                                 log_band_mass)
 
 LN2 = np.log(2.0)
 
@@ -46,6 +48,16 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             DeFinettiModel(np.array([0.4, 0.6]), np.array([0.8, 0.3]), tau=0.0)
 
+    @pytest.mark.parametrize("weights,p_plus", [
+        ([np.nan, 1.0], [0.8, 0.3]),
+        ([0.4, 0.6], [np.nan, 0.3]),
+        ([0.4, 0.6], [0.8, np.inf]),
+        ([np.inf, 0.6], [0.8, 0.3]),
+    ])
+    def test_non_finite_entries_rejected(self, weights, p_plus):
+        with pytest.raises(ValueError, match="finite"):
+            DeFinettiModel(np.array(weights), np.array(p_plus))
+
     def test_single_hypothesis_has_infinite_gap(self):
         m = DeFinettiModel(np.array([1.0]), np.array([0.8]))
         assert m.kappa == np.inf
@@ -62,6 +74,11 @@ class TestBands:
             ClassificationBand.from_schedule(100, exponent=0.5)
         with pytest.raises(ValueError):
             ClassificationBand.from_schedule(100, exponent=0.0)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_schedule_starts_at_two_clicks(self, n):
+        with pytest.raises(ValueError, match="n = 2"):
+            ClassificationBand.from_schedule(n)
 
     def test_half_width_must_be_a_fraction(self):
         with pytest.raises(ValueError):
@@ -325,12 +342,93 @@ class TestBandMass:
     def test_full_band_has_unit_mass(self):
         assert log_band_mass(12, 0.999, 0.5, 0.4) == pytest.approx(0.0, abs=1e-12)
 
+    def test_log_mass_is_clamped_at_zero(self):
+        # the full band's log-masses sum to 5.6e-16 before the clamp
+        assert log_band_mass(3, 0.999, 0.5, 0.5) == 0.0
+
     def test_matches_direct_binomial_sum(self):
         n, eps, center, q_ = 30, 0.12, 0.8, 0.3
         ks = np.arange(n + 1)
         mask = np.abs(ks / n - center) < eps
         direct = float(binom.pmf(ks[mask], n, q_).sum())
         assert np.exp(log_band_mass(n, eps, center, q_)) == pytest.approx(direct, rel=1e-10)
+
+
+def binomial_case(smallest_p=0.0):
+    """(n, p) with n from 1 to 1e5 and p in [smallest_p, 1], with 0 and 1 included."""
+    return st.tuples(st.integers(1, 100_000),
+                     st.one_of(st.sampled_from([0.0, 1.0, 1e-300, 0.5]),
+                               st.floats(smallest_p, 1.0)))
+
+
+class TestNumpyKernels:
+    """The numpy replacements of the binomial and log-space helpers, against scipy."""
+
+    @given(binomial_case())
+    @settings(max_examples=40, deadline=None)
+    def test_binom_logpmf(self, case):
+        n, p = case
+        ks = np.unique(np.linspace(0, n, 201).round())
+        ours, ref = _binom_logpmf(ks, n, p), binom.logpmf(ks, n, p)
+        np.testing.assert_array_equal(np.isneginf(ours), np.isneginf(ref))
+        np.testing.assert_allclose(ours, ref, rtol=1e-13, atol=1e-13 * n)
+
+    # scipy's pmf itself overflows for p below about 1e-300 (ibeta_derivative)
+    @given(binomial_case(smallest_p=1e-300))
+    @settings(max_examples=40, deadline=None)
+    def test_binom_pmf(self, case):
+        n, p = case
+        ours = _binom_pmf(n, p)
+        assert ours.shape == (n + 1,)
+        np.testing.assert_allclose(ours, binom.pmf(np.arange(n + 1), n, p),
+                                   rtol=1e-10, atol=1e-15)
+        assert ours.sum() == pytest.approx(1.0, abs=1e-14)
+
+    def test_binom_pmf_below_the_scipy_range(self):
+        n, p = 1000, 1e-307
+        pmf = _binom_pmf(n, p)
+        assert pmf[0] == 1.0
+        assert pmf[1] == pytest.approx(n * p, rel=1e-12)
+
+    @given(st.lists(st.lists(st.one_of(st.just(-np.inf),
+                                       st.floats(-800.0, 50.0)),
+                             min_size=3, max_size=3),
+                    min_size=1, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_logsumexp(self, rows):
+        a = np.array(rows)
+        np.testing.assert_allclose(_logsumexp(a), logsumexp(a, axis=1),
+                                   rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(_logsumexp(a[0]), logsumexp(a[0]),
+                                   rtol=1e-14, atol=1e-14)
+
+    def test_logsumexp_of_all_minus_infinity(self):
+        a = np.full((2, 4), -np.inf)
+        a[1, 0] = 0.0
+        np.testing.assert_array_equal(_logsumexp(a), [-np.inf, 0.0])
+        assert _logsumexp(np.full(3, -np.inf)) == -np.inf
+
+    @given(st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+                              st.one_of(st.just(0.0), st.floats(0.0, 1e6))),
+                    min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_xlogy(self, pairs):
+        x, y = np.array(pairs).T
+        np.testing.assert_allclose(_xlogy(x, y), xlogy(x, y), rtol=1e-15, atol=0.0)
+
+    @given(binomial_case(), st.floats(1e-3, 1.0), st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_log_band_mass(self, case, eps, center):
+        n, q_ = case
+        ks = np.arange(n + 1)
+        mask = np.abs(ks / n - center) < eps
+        ref = logsumexp(binom.logpmf(ks[mask], n, q_)) if mask.any() else -np.inf
+        ours = log_band_mass(n, eps, center, q_)
+        assert ours <= 0.0
+        if ref == -np.inf:
+            assert ours == -np.inf
+        else:
+            assert ours == pytest.approx(min(ref, 0.0), rel=1e-13, abs=1e-13 * n)
 
 
 class TestSanov:
@@ -368,6 +466,13 @@ class TestSanov:
         m = reference_model()
         with pytest.raises(ValueError, match="overlap"):
             sanov_check(m, 0, 1, [2])
+
+    def test_prefactor_past_the_largest_float_is_infinite(self):
+        # log C = log_mass(n) + n * sigma reaches about 5e4 at n = 1e5
+        rep = sanov_check(reference_model(), 0, 1, [40, 100_000])
+        assert rep.prefactor == np.inf
+        assert rep.certified
+        assert all(np.isfinite(r.log_mass) for r in rep.rows)
 
 
 class TestDetectionTime:
