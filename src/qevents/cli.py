@@ -32,7 +32,7 @@ from .mesoscopic import (CLASSIFICATION_EXPONENT, DECAY_EXPONENT, LN2,
                          born_rule_experiment, detection_time, log_band_mass,
                          posterior_entropies, relative_entropy)
 from .operators import DensityState, PartitionOfUnity
-from .seeding import substream
+from .seeding import _stream_uniforms
 
 SCHEMA = "qevents-config/1"
 
@@ -108,7 +108,14 @@ def _partition(obj, dim: int, ctx: str) -> PartitionOfUnity:
 
 
 def _number(value, ctx: str, kind=float):
-    """``kind(value)``, or a ConfigError naming ``ctx`` when value is not a number."""
+    """``kind(value)``, or a ConfigError naming ``ctx`` when value is not a number.
+
+    An ``int`` field refuses booleans and non-integral numbers rather than
+    truncating them; an integral float such as 1e5 is accepted.
+    """
+    if kind is int and (isinstance(value, bool)
+                        or isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{ctx} must be an integer, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -326,7 +333,7 @@ def cmd_trajectory(cfg: dict, seed: int):
 
     # sample i keeps its own stream: its j-th event takes the j-th uniform of
     # substream(seed, i), whatever the other samples draw
-    uniforms = np.array([substream(seed, i).random(len(frame.times)) for i in range(samples)])
+    uniforms = _stream_uniforms(seed, samples, len(frame.times))
     counts: dict = {}
     first: dict = {}        # outcome -> (sample, event index) where it first occurs
     events_total = 0

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -213,41 +214,81 @@ class ClassificationBand:
 
 @dataclass(frozen=True, eq=False)
 class ProtocolSample:
-    """Batch of sampled protocols: outcome matrix (+1/-1) plus latent labels."""
+    """Batch of sampled protocols: +1 counts and latent labels of length-n protocols.
 
-    outcomes: np.ndarray
+    ``plus[i]`` counts the +1 clicks of protocol i and ``latent[i]`` is its
+    hypothesis.  The (count, n) matrix of +1/-1 outcomes is not stored:
+    ``outcomes`` replays the draw of ``sample_protocols`` from the kept
+    model, seed and stream on first use.
+    """
+
+    plus: np.ndarray
     latent: np.ndarray
+    n: int
+    model: DeFinettiModel
+    seed: int
+    stream: int
 
     def __post_init__(self):
-        o = np.asarray(self.outcomes)
-        v = np.asarray(self.latent)
-        if o.ndim != 2 or v.ndim != 1 or o.shape[0] != v.shape[0]:
-            raise ValueError("outcomes must be (count, n) with one latent label per row")
-        object.__setattr__(self, "outcomes", o)
+        k = np.array(self.plus)
+        v = np.array(self.latent)
+        if k.ndim != 1 or v.ndim != 1 or k.shape != v.shape:
+            raise ValueError("plus counts and latent labels must be equal-length 1-D arrays")
+        k.setflags(write=False)
+        v.setflags(write=False)
+        object.__setattr__(self, "plus", k)
         object.__setattr__(self, "latent", v)
+        object.__setattr__(self, "n", int(self.n))
 
     def __len__(self) -> int:
-        return self.outcomes.shape[0]
+        return self.latent.shape[0]
 
     @property
     def count(self) -> int:
-        return self.outcomes.shape[0]
+        return self.latent.shape[0]
 
-    @property
-    def n(self) -> int:
-        return self.outcomes.shape[1]
+    @cached_property
+    def outcomes(self) -> np.ndarray:
+        """(count, n) int8 matrix of +1/-1 outcomes, replayed on first use."""
+        out = np.empty((self.count, self.n), dtype=np.int8)
+        _, chunks = _draw_clicks(self.model, self.n, self.count, self.seed, self.stream)
+        for rows, clicks in chunks:
+            out[rows] = np.where(clicks, 1, -1)
+        return out
 
     def protocol(self, i: int) -> tuple[int, ...]:
         return tuple(int(x) for x in self.outcomes[i])
 
     def plus_counts(self) -> np.ndarray:
-        return (self.outcomes == 1).sum(axis=1)
+        return self.plus
 
     def frequencies(self) -> np.ndarray:
         """Per-protocol frequency of the outcome +1."""
         if self.n == 0:
             raise ValueError("frequency of an empty protocol is undefined")
-        return self.plus_counts() / self.n
+        return self.plus / self.n
+
+
+def _draw_clicks(model: DeFinettiModel, n: int, count: int, seed, stream):
+    """The draw of ``sample_protocols``: latent labels, then chunks of clicks.
+
+    Returns the labels and an iterator of ``(rows, clicks)``, where
+    ``clicks`` is the boolean block of +1 outcomes of the protocols in the
+    slice ``rows``.  Chunking bounds the transient uniform-draw buffer, with a
+    layout that depends only on n.
+    """
+    rng = substream(seed, stream)
+    w = model.weights / model.weights.sum()
+    latent = rng.choice(model.num_hypotheses, size=count, p=w)
+    step = max(1, int(4_000_000 // max(n, 1)))
+
+    def chunks():
+        for start in range(0, count, step):
+            rows = slice(start, min(start + step, count))
+            u = rng.random((rows.stop - start, n))
+            yield rows, u < model.p_plus[latent[rows]][:, None]
+
+    return latent, chunks()
 
 
 def sample_protocols(model: DeFinettiModel, n: int, count: int,
@@ -255,24 +296,18 @@ def sample_protocols(model: DeFinettiModel, n: int, count: int,
     """Draw ``count`` protocols of length ``n``: latent nu ~ prior, clicks i.i.d.
 
     Exchangeability holds by construction, and output is deterministic per
-    (seed, stream).  Sampling is chunked internally to bound the transient
-    uniform-draw buffer, with a chunk layout that depends only on n.
+    (seed, stream).  Only the +1 counts are kept; the outcome matrix is
+    replayed from (seed, stream) when ``ProtocolSample.outcomes`` is read.
     """
     n = int(n)
     count = int(count)
     if n < 0 or count < 0:
         raise ValueError("n and count must be nonnegative")
-    rng = substream(seed, stream)
-    w = model.weights / model.weights.sum()
-    latent = rng.choice(model.num_hypotheses, size=count, p=w)
-    outcomes = np.empty((count, n), dtype=np.int8)
-    rows = max(1, int(4_000_000 // max(n, 1)))
-    for start in range(0, count, rows):
-        stop = min(start + rows, count)
-        u = rng.random((stop - start, n))
-        thresholds = model.p_plus[latent[start:stop]][:, None]
-        outcomes[start:stop] = np.where(u < thresholds, 1, -1)
-    return ProtocolSample(outcomes, latent.astype(np.int64))
+    latent, chunks = _draw_clicks(model, n, count, seed, stream)
+    plus = np.empty(count, dtype=np.int64)
+    for rows, clicks in chunks:
+        plus[rows] = np.count_nonzero(clicks, axis=1)
+    return ProtocolSample(plus, latent.astype(np.int64), n, model, seed, stream)
 
 
 def _as_outcome_array(protocol) -> np.ndarray:

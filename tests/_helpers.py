@@ -245,3 +245,23 @@ def reference_sampler_vs_measure(frame, initial, steps, samples, seed=0) -> floa
     for key in set(exact) | set(counts):
         tv += abs(counts.get(key, 0) / samples - exact.get(key, 0.0))
     return 0.5 * tv
+
+
+def reference_sample_protocols(model, n: int, count: int, seed=0, stream=0):
+    """``(outcomes, latent)`` of ``sample_protocols``, built eagerly as an int8 matrix.
+
+    The test oracle for ``qevents.sample_protocols``, which keeps only the +1
+    counts and replays ``ProtocolSample.outcomes`` on demand.
+    """
+    n, count = int(n), int(count)
+    gen = substream(seed, stream)
+    w = model.weights / model.weights.sum()
+    latent = gen.choice(model.num_hypotheses, size=count, p=w)
+    outcomes = np.empty((count, n), dtype=np.int8)
+    rows = max(1, int(4_000_000 // max(n, 1)))
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        u = gen.random((stop - start, n))
+        thresholds = model.p_plus[latent[start:stop]][:, None]
+        outcomes[start:stop] = np.where(u < thresholds, 1, -1)
+    return outcomes, latent.astype(np.int64)

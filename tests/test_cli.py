@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qevents.cli as cli
-from qevents import InvariantViolation, substream
+from qevents import InvariantViolation, ProtocolSample, substream
 
 from _helpers import reference_trajectory
 
@@ -269,6 +269,30 @@ class TestTrajectoryGolden:
         assert [(row["outcome"], row["count"]) for row in out["histogram"]] == expected
 
 
+class TestMesoscopicGolden:
+    """sha256 of `qevents mesoscopic` JSON, pinned from the eager outcome-matrix sampler."""
+
+    @pytest.mark.parametrize("seed,digest", [
+        ("0", "04426db860c872cbf93c3f9b14fe5f0f7661c4d3fa6443a99e8d6581fca0e442"),
+        ("7", "a36400dc812ad170cc682c5b567d2839c7d7df0598fb313f8721ad2054d75ae1"),
+    ])
+    @pytest.mark.filterwarnings("ignore:band half-width")
+    def test_output_digest(self, capsys, seed, digest):
+        cfg = str(CONFIGS / "mixture_reference.json")
+        assert cli.main(["mesoscopic", "--config", cfg, "--seed", seed]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.filterwarnings("ignore:band half-width")
+    def test_the_outcome_matrix_is_never_built(self, capsys, monkeypatch):
+        def boom(sample):
+            raise AssertionError("outcomes materialized")
+
+        monkeypatch.setattr(ProtocolSample, "outcomes", property(boom))
+        cfg = str(CONFIGS / "mixture_reference.json")
+        assert cli.main(["mesoscopic", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["count"] == 20000
+
+
 class TestLsw:
     def test_protocol_probability(self, tmp_path, capsys):
         cfg = diagonal_detect_config(tmp_path, protocol=["+", "+"])
@@ -377,6 +401,47 @@ class TestMesoscopic:
         assert "NaN" in Path(cfg).read_text()
         assert cli.main(["mesoscopic", "--config", cfg]) == 1
         assert capsys.readouterr().err.startswith("config error: model:")
+
+
+class TestIntegerFields:
+    """Integer fields refuse booleans and fractions instead of truncating them."""
+
+    @pytest.mark.parametrize("value", [2.5, 0.9, True, False])
+    @pytest.mark.parametrize("field", ["seed", "samples", "keep_histories"])
+    def test_trajectory_fields(self, tmp_path, capsys, field, value):
+        cfg = hadamard_config(tmp_path, **{field: value})
+        assert cli.main(["trajectory", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: run.{field} must be an integer")
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_lsw_steps(self, tmp_path, capsys, value):
+        cfg = hadamard_config(tmp_path, protocol=["+", "+"], steps=value)
+        assert cli.main(["lsw", "--config", cfg, "--check-consistency"]) == 1
+        assert capsys.readouterr().err.startswith("config error: run.steps must be an integer")
+
+    @pytest.mark.parametrize("field,value", [("n_values", [50.7]), ("n_values", [True]),
+                                             ("count", 0.9), ("count", True),
+                                             ("seed", 1.5)])
+    def test_mesoscopic_fields(self, tmp_path, capsys, field, value):
+        cfg = mixture_config(tmp_path, **{field: value})
+        assert cli.main(["mesoscopic", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: run.{field} must be an integer")
+
+    def test_integral_floats_are_accepted(self, tmp_path, capsys):
+        cfg = hadamard_config(tmp_path, samples=4e1, keep_histories=2.0, seed=3.0)
+        assert cli.main(["trajectory", "--config", cfg]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["samples"] == 40 and len(out["histories"]) == 2 and out["seed"] == 3
+        cli.main(["trajectory", "--config", hadamard_config(tmp_path, samples=40, seed=3,
+                                                            keep_histories=2)])
+        assert json.loads(capsys.readouterr().out) == out
+
+    @pytest.mark.filterwarnings("ignore:band half-width")
+    def test_integral_floats_are_accepted_by_mesoscopic(self, tmp_path, capsys):
+        cfg = mixture_config(tmp_path, n_values=[50.0], count=1e2)
+        assert cli.main(["mesoscopic", "--config", cfg]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["count"] == 100 and {r["n"] for r in out["rows"]} == {50}
 
 
 class TestDeterminism:

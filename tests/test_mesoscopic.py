@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp, xlogy
 from scipy.stats import binom
@@ -13,6 +13,8 @@ from qevents import (ClassificationBand, DeFinettiModel, born_rule_experiment,
 from qevents.histories import MeasurementProtocol
 from qevents.mesoscopic import (_binom_logpmf, _binom_pmf, _logsumexp, _xlogy,
                                  log_band_mass)
+
+from _helpers import reference_sample_protocols
 
 LN2 = np.log(2.0)
 
@@ -134,6 +136,50 @@ class TestSampling:
         row = s.protocol(3)
         assert isinstance(row, tuple) and len(row) == 4
         assert frequency(row, 1) == pytest.approx(np.mean(np.array(row) == 1))
+
+
+MODELS = [DeFinettiModel(np.array([0.4, 0.6]), np.array([0.8, 0.3])),
+          DeFinettiModel(np.array([0.2, 0.5, 0.3]), np.array([0.0, 1.0, 0.45])),
+          DeFinettiModel(np.array([1.0]), np.array([0.7]))]
+
+
+class TestLazyOutcomes:
+    @given(model=st.sampled_from(MODELS), n=st.integers(0, 30), count=st.integers(0, 60),
+           stream=st.integers(0, 3), seed=st.integers(-5, 2**64 + 5))
+    @example(model=MODELS[0], n=0, count=0, stream=0, seed=0)
+    @example(model=MODELS[0], n=0, count=7, stream=1, seed=3)
+    @example(model=MODELS[1], n=5, count=0, stream=0, seed=1)
+    # four protocols of a million clicks fill a chunk: three chunks
+    @example(model=MODELS[1], n=1_000_000, count=9, stream=2, seed=11)
+    @settings(max_examples=60, deadline=None)
+    def test_counts_and_replay_match_the_eager_sampler(self, model, n, count, stream, seed):
+        outcomes, latent = reference_sample_protocols(model, n, count, seed, stream)
+        s = sample_protocols(model, n, count, seed=seed, stream=stream)
+        assert len(s) == s.count == count and s.n == n
+        np.testing.assert_array_equal(s.latent, latent)
+        assert s.latent.dtype == np.int64
+        np.testing.assert_array_equal(s.plus_counts(), (outcomes == 1).sum(axis=1))
+        if n:
+            np.testing.assert_array_equal(s.frequencies(), (outcomes == 1).sum(axis=1) / n)
+        else:
+            with pytest.raises(ValueError, match="empty protocol"):
+                s.frequencies()
+        assert "outcomes" not in s.__dict__
+        assert s.outcomes.dtype == np.int8
+        np.testing.assert_array_equal(s.outcomes, outcomes)
+        assert s.outcomes is s.outcomes
+
+    def test_counting_callers_never_build_the_outcome_matrix(self):
+        m = reference_model()
+        exp = born_rule_experiment(m, 200, 3000, seed=5)
+        ents = posterior_entropies(m, exp.sample)
+        assert ents.shape == (3000,)
+        assert "outcomes" not in exp.sample.__dict__
+
+    def test_counts_are_read_only(self):
+        s = sample_protocols(reference_model(), 8, 20, seed=1)
+        with pytest.raises(ValueError):
+            s.plus_counts()[0] = 3
 
 
 class TestExactProbabilities:
