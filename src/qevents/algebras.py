@@ -1,10 +1,19 @@
-"""Finite-dimensional *-algebras of matrices, represented by spanning bases.
+"""Finite-dimensional *-algebras of matrices, stored in Wedderburn form.
 
-An algebra is stored as a Hilbert-Schmidt orthonormal basis of its linear
-span.  Closure under products and adjoints is a property of the span, not of
-the basis list, and is established by ``generate_algebra`` and preserved by
-``commutant`` and ``center``.  Rank decisions (nullspaces, span intersections)
-use a singular-value cutoff relative to the largest singular value.
+Every *-algebra of dim x dim matrices is A = V ((+)_i M_{n_i} (x) 1_{m_i}
+(+) 0_z) V* for a unitary V; z > 0 exactly when A lacks the identity.
+``FiniteAlgebra`` stores V and the (n_i, m_i), and the rest is closed form:
+the Hilbert-Schmidt projection (per block, in V's frame, the partial trace
+over the multiplicity factor divided by m_i), the minimal central
+projections (block indicators), ``commutant`` (n_i and m_i swap) and
+``center`` (one block (1, n_i m_i) per block).
+
+``from_span`` and ``generate_algebra`` find (V, blocks) once by
+random-element block diagonalization (Murota, Kanno, Kojima & Kojima, Japan
+J. Indust. Appl. Math. 27 (2010) 125-160; Maehara & Murota, ibid. 27 (2010)
+263-293) and accept a span only if it equals the algebra recovered from it.
+Orthonormalizing the span there is the only rank decision, a singular-value
+cutoff relative to the largest singular value.
 """
 
 from __future__ import annotations
@@ -16,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvariantViolation
-from .operators import (DEGENERACY_TOL, _checked_norm, adjoint, as_operator,
-                        operator_to_json, operator_from_json, spectral_decompose)
+from .operators import (DEFAULT_TOL, DEGENERACY_TOL, _unitarity_defect, adjoint,
+                        as_operator, operator_to_json, operator_from_json)
 
 # Relative singular-value cutoff for rank decisions.
 RANK_RCOND = 1e-10
@@ -44,73 +53,100 @@ __all__ = [
 ]
 
 
-def _vec(ops) -> np.ndarray:
-    """Stack matrices as rows of a (k, dim^2) coefficient array."""
-    return np.stack([np.asarray(A, dtype=complex).reshape(-1) for A in ops])
-
-
-def _unvec(rows: np.ndarray, dim: int):
-    return tuple(row.reshape(dim, dim).copy() for row in rows)
-
-
-def _orthonormal_rows(rows: np.ndarray, rcond: float = RANK_RCOND) -> np.ndarray:
-    """Orthonormal basis (as rows) of the row span, via rank-revealing SVD."""
-    if rows.size == 0:
-        return rows.reshape(0, rows.shape[-1])
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return rows[:0]
-    keep = s > rcond * s[0]
-    return vh[keep]
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteAlgebra:
-    """Span of a Hilbert-Schmidt orthonormal family of dim x dim matrices.
+    """The *-algebra V ((+)_i M_{n_i} (x) 1_{m_i} (+) 0) V* on C^dim.
 
-    Structure that depends on the span alone is computed on first use and
-    cached on the instance with ``functools.cached_property``; the basis is
-    fixed at construction, so a cached value never goes stale.  Currently
-    cached: ``minimal_central_projections``.
+    ``unitary`` is V, ``blocks`` the (n_i, m_i).  Block i owns the next
+    n_i m_i columns of V, column a * m_i + mu holding matrix index a and
+    multiplicity index mu; the columns left over span the zero block.
+    Derived structure is cached on first use with ``cached_property`` (V and
+    the blocks never change): ``basis``, ``minimal_central_projections`` and
+    the projection's index table.
     """
 
     dim: int
-    basis: tuple[np.ndarray, ...]
-    contains_identity: bool
+    unitary: np.ndarray
+    blocks: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "basis",
-                           tuple(as_operator(B, self.dim) for B in self.basis))
-        if len(self.basis) == 0:
-            raise ValueError("algebra needs at least one basis element")
-        G = _vec(self.basis)
-        gram = G @ G.conj().T
-        r = np.abs(gram - np.eye(len(self.basis))).max()
-        if r > 1e-8:
-            raise InvariantViolation(f"basis is not HS-orthonormal: Gram residual {r:.3e}")
+        V = as_operator(self.unitary, self.dim)
+        blocks = tuple((int(n), int(m)) for n, m in self.blocks)
+        if not blocks or min(map(min, blocks)) < 1 or sum(n * m for n, m in blocks) > self.dim:
+            raise ValueError(f"blocks {blocks} are not positive sizes fitting in dimension {self.dim}")
+        r = _unitarity_defect(V, DEFAULT_TOL)
+        if r > DEFAULT_TOL:
+            raise InvariantViolation(f"algebra frame is not unitary: ||V*V - 1|| = {r:.3e}")
+        object.__setattr__(self, "unitary", V)
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def algebra_dim(self) -> int:
-        """Linear dimension of the span."""
-        return len(self.basis)
+        """Linear dimension, sum_i n_i^2."""
+        return sum(n * n for n, _ in self.blocks)
+
+    @property
+    def contains_identity(self) -> bool:
+        """Whether there is no zero block."""
+        return sum(n * m for n, m in self.blocks) == self.dim
+
+    def _block_frames(self) -> list[np.ndarray]:
+        """V's columns of each block, as (dim, n_i, m_i) arrays."""
+        frames, at = [], 0
+        for n, m in self.blocks:
+            frames.append(self.unitary[:, at:at + n * m].reshape(self.dim, n, m))
+            at += n * m
+        return frames
+
+    @cached_property
+    def basis(self) -> tuple[np.ndarray, ...]:
+        """HS-orthonormal matrix units V (e_ab (x) 1_m / sqrt(m)) V*, block by block."""
+        units = [np.einsum("xam,ybm->abxy", W, W.conj()).reshape(-1, self.dim, self.dim)
+                 / np.sqrt(W.shape[2]) for W in self._block_frames()]
+        return tuple(np.concatenate(units))
 
     @cached_property
     def minimal_central_projections(self) -> tuple[np.ndarray, ...]:
-        """Minimal projections of the center, the z_i of A = (+)_i M_{n_i} (x) 1_{m_i}.
+        """The block indicators z_i, minimal projections of the center (1 for a factor)."""
+        frames = [W.reshape(self.dim, -1) for W in self._block_frames()]
+        return tuple(W @ adjoint(W) for W in frames)
 
-        The full matrix algebra is a factor: its only one is the identity.
+    @cached_property
+    def _unit_entries(self) -> tuple[np.ndarray, ...]:
+        """Flat positions in V's frame of the m entries of each e_ab (x) 1_m, by m."""
+        groups: dict[int, list[np.ndarray]] = {}
+        at = 0
+        for n, m in self.blocks:
+            col = at + np.arange(n * m).reshape(n, m)
+            flat = col[:, None, :] * self.dim + col[None, :, :]
+            groups.setdefault(m, []).append(flat.reshape(n * n, m))
+            at += n * m
+        return tuple(np.concatenate(g) for g in groups.values())
+
+    def project(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Hilbert-Schmidt projection onto the algebra and the HS norm it removes.
+
+        ``X`` is a matrix or a stack of matrices (the last two axes).  The
+        full matrix algebra returns X itself with residual 0.
         """
-        if self.algebra_dim == self.dim * self.dim:
-            return (np.eye(self.dim, dtype=complex),)
-        return minimal_projections(center(self))
+        X = np.asarray(X, dtype=complex)
+        lead = X.shape[:-2]
+        if self.blocks == ((self.dim, 1),):
+            return X, np.zeros(lead)
+        V = self.unitary
+        Y = (adjoint(V) @ X @ V).reshape(*lead, -1)
+        Z = np.zeros_like(Y)
+        for idx in self._unit_entries:
+            Z[..., idx] = Y[..., idx].mean(axis=-1, keepdims=True)
+        residual = np.linalg.norm(Y - Z, axis=-1)
+        return V @ Z.reshape(X.shape) @ adjoint(V), residual
 
     @classmethod
-    def from_span(cls, ops, dim: int | None = None, validate: bool = True,
-                  tol: float = SPAN_TOL) -> "FiniteAlgebra":
-        """Orthonormalize a spanning family and wrap it as an algebra.
+    def from_span(cls, ops, dim: int | None = None, tol: float = SPAN_TOL) -> "FiniteAlgebra":
+        """The algebra spanned by a family of matrices.
 
-        With ``validate`` the span is checked to be closed under adjoints and
-        products, which a raw spanning list need not be.
+        Raises ``InvariantViolation`` unless the span is closed under adjoints
+        and products, to within ``tol`` per HS-normalized element.
         """
         ops = [as_operator(A, dim) for A in ops]
         if not ops:
@@ -119,82 +155,113 @@ class FiniteAlgebra:
         rows = _orthonormal_rows(_vec(ops))
         if rows.shape[0] == 0:
             raise ValueError("spanning family is numerically zero")
-        basis = _unvec(rows, d)
-        alg = cls(d, basis, _span_residual_single(rows, np.eye(d)) <= tol)
-        if validate:
-            _check_closure(alg, tol)
-        return alg
+        return _recover(rows, d, tol)
 
 
-def _span_residual_single(basis_rows: np.ndarray, X: np.ndarray) -> float:
-    """HS norm of the component of X orthogonal to the row span."""
-    v = np.asarray(X, dtype=complex).reshape(-1)
-    coeff = basis_rows.conj() @ v
-    resid = v - basis_rows.T @ coeff
-    return float(np.linalg.norm(resid))
+def _vec(ops) -> np.ndarray:
+    """Stack matrices as rows of a (k, dim^2) coefficient array."""
+    return np.stack([np.asarray(A, dtype=complex).reshape(-1) for A in ops])
 
 
-def _check_closure(alg: FiniteAlgebra, tol: float) -> None:
-    rows = _vec(alg.basis)
-    for k, B in enumerate(alg.basis):
-        r = _span_residual_single(rows, adjoint(B))
-        if r > tol:
-            raise InvariantViolation(f"span not *-closed: adjoint of basis {k} exits by {r:.3e}")
-    m = len(alg.basis)
-    stacked = np.stack(alg.basis)
-    prods = np.einsum("aij,bjk->abik", stacked, stacked).reshape(m * m, alg.dim * alg.dim)
-    coeff = prods @ rows.conj().T
-    resid = prods - coeff @ rows
-    worst = float(np.linalg.norm(resid, axis=1).max())
-    if worst > tol:
-        raise InvariantViolation(f"span not multiplicatively closed: product exits by {worst:.3e}")
+def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (as rows) of the row span, via rank-revealing SVD."""
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    return vh[s > RANK_RCOND * s[0]]
+
+
+def _recover(rows: np.ndarray, d: int, tol: float) -> FiniteAlgebra:
+    """Wedderburn form of the span of HS-orthonormal ``rows``, or ``InvariantViolation``.
+
+    Accepted when the recovered *-algebra has the span's dimension and
+    contains its rows, which a span not closed under adjoints or products
+    cannot pass.  An unlucky draw (merged eigenvalue clusters, a coupling
+    lost in rounding) fails the same check and is retried.
+    """
+    k = rows.shape[0]
+    mats = rows.reshape(k, d, d)
+    found = "no block structure"
+    for attempt in range(8):
+        gen = np.random.default_rng(attempt)
+        # complex coefficients: with real ones, real rows give a real symmetric
+        # Hermitian part, whose eigenvalues can pair up by symmetry
+        c = gen.standard_normal((2, k)) + 1j * gen.standard_normal((2, k))
+        X, Y = (c @ rows).reshape(2, d, d)
+        form = _block_diagonalize((X + adjoint(X)) / 2.0, Y, tol)
+        if form is None:
+            continue
+        alg = FiniteAlgebra(d, *form)
+        r = float(alg.project(mats)[1].max())
+        if alg.algebra_dim == k and r <= tol:
+            return alg
+        found = f"dimension {alg.algebra_dim}, residual {r:.3e}"
+    raise InvariantViolation(f"span of dimension {k} is not closed under adjoints and "
+                             f"products: recovered {found}")
+
+
+def _block_diagonalize(H: np.ndarray, Y: np.ndarray, tol: float):
+    """(V, blocks) from a random Hermitian H and a random Y of one algebra, or None.
+
+    H's eigenvalue clusters U_a (chained within ``DEGENERACY_TOL``, as in
+    ``spectral_decompose``) are the minimal projections.  A nonzero block
+    G_ab of G = U* Y U puts a and b in one matrix block, and U_b G_ba,
+    rescaled to an isometry, is b's multiplicity basis aligned with a's.  A
+    cluster that Y does not even couple to itself is the zero block.
+    """
+    vals, vecs = np.linalg.eigh(H)
+    starts = np.flatnonzero(np.r_[True, np.diff(vals) > DEGENERACY_TOL])
+    clusters = [slice(a, b) for a, b in zip(starts, [*starts[1:], len(vals)])]
+    G = adjoint(vecs) @ Y @ vecs
+    power = np.add.reduceat(np.add.reduceat(np.abs(G) ** 2, starts, axis=0), starts, axis=1)
+    linked = np.sqrt(power) > tol * np.linalg.norm(G)
+    zero = [c for a, c in enumerate(clusters) if not linked[a, a]]
+    todo = [a for a in range(len(clusters)) if linked[a, a]]
+    columns, blocks = [], []
+    while todo:
+        ref = clusters[todo[0]]
+        members = [b for b in todo if linked[b, todo[0]]]
+        m = ref.stop - ref.start
+        if any(clusters[b].stop - clusters[b].start != m for b in members):
+            return None
+        for b in members:
+            S = G[clusters[b], ref]
+            columns.append(vecs[:, clusters[b]] @ (S * (np.sqrt(m) / np.linalg.norm(S))))
+        blocks.append((len(members), m))
+        todo = [b for b in todo if b not in members]
+    columns.extend(vecs[:, c] for c in zero)
+    # the nearest unitary, so that rounding in the alignment cannot fail the frame check
+    u, _, vh = np.linalg.svd(np.hstack(columns))
+    return (u @ vh, tuple(blocks)) if blocks else None
 
 
 def full_matrix_algebra(dim: int) -> FiniteAlgebra:
-    """All dim x dim matrices, with the matrix-unit orthonormal basis."""
-    basis = []
-    for i in range(dim):
-        for j in range(dim):
-            E = np.zeros((dim, dim), dtype=complex)
-            E[i, j] = 1.0
-            basis.append(E)
-    return FiniteAlgebra(dim, tuple(basis), True)
+    """All dim x dim matrices: V = 1 and one block (dim, 1)."""
+    return FiniteAlgebra(dim, np.eye(dim, dtype=complex), ((dim, 1),))
 
 
 def diagonal_algebra(dim: int) -> FiniteAlgebra:
-    basis = []
-    for i in range(dim):
-        E = np.zeros((dim, dim), dtype=complex)
-        E[i, i] = 1.0
-        basis.append(E)
-    return FiniteAlgebra(dim, tuple(basis), True)
+    """The diagonal matrices: V = 1 and dim blocks (1, 1)."""
+    return FiniteAlgebra(dim, np.eye(dim, dtype=complex), ((1, 1),) * dim)
 
 
-def generate_algebra(generators, dim: int | None = None,
-                     rcond: float = RANK_RCOND) -> FiniteAlgebra:
-    """Smallest *-closed, identity-containing, multiplicatively closed span
-    containing the generators.
+def generate_algebra(generators, dim: int | None = None) -> FiniteAlgebra:
+    """Smallest unital *-algebra containing the generators.
 
-    Iterates product/adjoint closure with re-orthonormalization until the
-    span dimension stabilizes.  The dimension grows strictly every round, so
-    at most dim^2 rounds can occur; exceeding that indicates a numerical
-    degeneracy and raises.
+    The span of the words in the generators and their adjoints grows one
+    letter per round, S -> S + sum_g g S, until its dimension stops growing;
+    more than dim^2 rounds indicate a numerical degeneracy and raise.
     """
     gens = [as_operator(G, dim) for G in generators]
     if not gens:
         raise ValueError("need at least one generator")
     d = gens[0].shape[0]
-    seed = gens + [adjoint(G) for G in gens] + [np.eye(d, dtype=complex)]
-    rows = _orthonormal_rows(_vec(seed), rcond)
+    letters = np.stack(gens + [adjoint(G) for G in gens])
+    rows = _orthonormal_rows(_vec([np.eye(d, dtype=complex), *letters]))
     for _ in range(d * d + 1):
-        m = rows.shape[0]
-        mats = np.stack(_unvec(rows, d))
-        prods = np.einsum("aij,bjk->abik", mats, mats).reshape(m * m, d * d)
-        adjs = np.conjugate(mats).transpose(0, 2, 1).reshape(m, d * d)
-        new_rows = _orthonormal_rows(np.vstack([rows, prods, adjs]), rcond)
-        if new_rows.shape[0] == m:
-            return FiniteAlgebra(d, _unvec(new_rows, d), True)
-        rows = new_rows
+        words = (letters[:, None] @ rows.reshape(1, -1, d, d)).reshape(-1, d * d)
+        grown = _orthonormal_rows(np.vstack([rows, words]))
+        if grown.shape[0] == rows.shape[0]:
+            return _recover(grown, d, SPAN_TOL)
+        rows = grown
     raise InvariantViolation("algebra closure did not stabilize within dim^2 rounds")
 
 
@@ -204,129 +271,68 @@ class SpanContainment(NamedTuple):
 
 
 def contains(algebra: FiniteAlgebra, X: np.ndarray, tol: float = SPAN_TOL) -> SpanContainment:
-    """Whether X lies in the algebra's span, with the HS residual."""
-    X = as_operator(X, algebra.dim)
-    r = _span_residual_single(_vec(algebra.basis), X)
-    return SpanContainment(r <= tol, r)
+    """Whether X lies in the algebra, with the HS norm of its component outside."""
+    _, r = algebra.project(as_operator(X, algebra.dim))
+    return SpanContainment(bool(r <= tol), float(r))
 
 
-def commutant(algebra: FiniteAlgebra, rcond: float = RANK_RCOND) -> FiniteAlgebra:
+def _inclusion_residual(sub: FiniteAlgebra, sup: FiniteAlgebra) -> float:
+    """Largest HS residual in ``sup`` of an element of ``sub``'s orthonormal basis."""
+    return float(sup.project(np.stack(sub.basis))[1].max())
+
+
+def commutant(algebra: FiniteAlgebra) -> FiniteAlgebra:
     """Relative commutant in the full matrix algebra.
 
-    Solves [B, X] = 0 for every basis element B as one stacked linear map on
-    vectorized X; the nullspace rows come out HS-orthonormal.  The result is
-    automatically an identity-containing *-algebra.
+    M_n (x) 1_m becomes 1_n (x) M_m, a block (m, n) once the block's columns
+    are reordered multiplicity-major; a zero block of size z becomes (z, 1).
     """
-    d = algebra.dim
-    eye = np.eye(d)
-    blocks = []
-    for B in algebra.basis:
-        # row-major vec: vec(BX - XB) = (B (x) 1 - 1 (x) B^T) vec(X)
-        blocks.append(np.kron(B, eye) - np.kron(eye, B.T))
-    M = np.vstack(blocks)
-    # M has at least as many rows as columns, so the thin vh is still square
-    # and spans all of C^(d^2); the full U would be (m d^2)^2 entries
-    _, s, vh = np.linalg.svd(M, full_matrices=False)
-    # floor the reference scale at 1: the basis is HS-normalized, so an
-    # all-noise constraint matrix (everything commutes) must have rank 0
-    cutoff = rcond * max(s[0], 1.0) if s.size else 0.0
-    rank = int(np.sum(s > cutoff))
-    null_rows = vh[rank:].conj()
-    if null_rows.shape[0] == 0:
-        raise InvariantViolation("commutant computation produced an empty span")
-    return FiniteAlgebra(d, _unvec(null_rows, d), True)
+    cols, blocks, at = [], [], 0
+    for n, m in algebra.blocks:
+        cols.append(at + np.arange(n * m).reshape(n, m).T.ravel())
+        blocks.append((m, n))
+        at += n * m
+    if at < algebra.dim:
+        cols.append(np.arange(at, algebra.dim))
+        blocks.append((algebra.dim - at, 1))
+    return FiniteAlgebra(algebra.dim, algebra.unitary[:, np.concatenate(cols)], tuple(blocks))
 
 
-def _intersection_rows(rows_a: np.ndarray, rows_b: np.ndarray,
-                       rcond: float = RANK_RCOND) -> np.ndarray:
-    """Orthonormal rows spanning the intersection of two row spans."""
-    # Pairs (x, y) with A^T x = B^T y make up the nullspace of [A^T, -B^T].
-    stacked = np.hstack([rows_a.T, -rows_b.T])
-    _, s, vh = np.linalg.svd(stacked)
-    cutoff = rcond * max(s[0], 1.0) if s.size else 0.0
-    rank = int(np.sum(s > cutoff))
-    null = vh[rank:].conj()
-    if null.shape[0] == 0:
-        return rows_a[:0]
-    vecs = null[:, : rows_a.shape[0]] @ rows_a
-    return _orthonormal_rows(vecs, rcond)
+def center(algebra: FiniteAlgebra) -> FiniteAlgebra:
+    """Intersection of the algebra with its commutant: the span of the block indicators."""
+    return FiniteAlgebra(algebra.dim, algebra.unitary,
+                         tuple((1, n * m) for n, m in algebra.blocks))
 
 
-def center(algebra: FiniteAlgebra, rcond: float = RANK_RCOND) -> FiniteAlgebra:
-    """Intersection of the algebra with its commutant."""
-    rows = _vec(algebra.basis)
-    comm_rows = _vec(commutant(algebra, rcond).basis)
-    inter = _intersection_rows(rows, comm_rows, rcond)
-    if inter.shape[0] == 0:
-        raise InvariantViolation("center computation produced an empty span")
-    return FiniteAlgebra(algebra.dim, _unvec(inter, algebra.dim), True)
-
-
-def minimal_projections(algebra: FiniteAlgebra,
-                        degeneracy_tol: float = DEGENERACY_TOL,
-                        tol: float = SPAN_TOL) -> tuple[np.ndarray, ...]:
-    """Minimal projections of an abelian algebra containing the identity.
-
-    A generic Hermitian element of the algebra separates the atoms; its
-    clustered eigenprojections are exactly the minimal projections.  The
-    draw is retried with fresh deterministic coefficients if an unlucky
-    combination merges two atoms.
-    """
-    m = algebra.algebra_dim
-    herms = []
-    for B in algebra.basis:
-        herms.append((B + adjoint(B)) / 2.0)
-        herms.append((B - adjoint(B)) / 2.0j)
-    for A in algebra.basis:
-        for B in algebra.basis:
-            if _checked_norm(A @ B - B @ A, tol) > tol:
-                raise InvariantViolation("minimal projections need an abelian algebra")
-    rows = _vec(algebra.basis)
-    for attempt in range(8):
-        rng = np.random.default_rng(attempt)
-        G = np.zeros((algebra.dim, algebra.dim), dtype=complex)
-        for c, H in zip(rng.standard_normal(len(herms)), herms):
-            G += c * H
-        dec = spectral_decompose(G, degeneracy_tol=degeneracy_tol)
-        if len(dec.projections) != m:
-            continue
-        if all(_span_residual_single(rows, P) <= tol for P in dec.projections):
-            return dec.projections
-    raise InvariantViolation("could not resolve the minimal projections")
+def minimal_projections(algebra: FiniteAlgebra) -> tuple[np.ndarray, ...]:
+    """Minimal projections of an abelian algebra: its block indicators."""
+    if any(n > 1 for n, _ in algebra.blocks):
+        raise InvariantViolation("minimal projections need an abelian algebra")
+    return algebra.minimal_central_projections
 
 
 def equal_span(a: FiniteAlgebra, b: FiniteAlgebra, tol: float = SPAN_TOL) -> tuple[bool, float]:
     """Mutual-containment test of two spans; returns (equal, worst residual)."""
     if a.dim != b.dim:
         raise ValueError("algebras live on different dimensions")
-    rows_a, rows_b = _vec(a.basis), _vec(b.basis)
-    worst = 0.0
-    for row in rows_a:
-        worst = max(worst, _span_residual_single(rows_b, row.reshape(a.dim, a.dim)))
-    for row in rows_b:
-        worst = max(worst, _span_residual_single(rows_a, row.reshape(a.dim, a.dim)))
+    worst = max(_inclusion_residual(a, b), _inclusion_residual(b, a))
     return worst <= tol, worst
 
 
 def is_maximal_abelian(algebra: FiniteAlgebra, ambient: FiniteAlgebra,
                        tol: float = SPAN_TOL) -> bool:
-    """Whether ``algebra`` is abelian and equals its relative commutant in ``ambient``."""
+    """Whether ``algebra`` is abelian and equals its relative commutant in ``ambient``.
+
+    An algebra is abelian when all n_i = 1, so its dimension is its number of
+    blocks; abelian subalgebras of (+)_j M_{n_j} (x) 1_{m_j} have dimension
+    at most sum_j n_j, and the maximal ones reach it.
+    """
     if algebra.dim != ambient.dim:
         raise ValueError("algebras live on different dimensions")
-    for B in algebra.basis:
-        ok, r = contains(ambient, B, tol)
-        if not ok:
-            raise InvariantViolation(f"algebra not inside ambient: residual {r:.3e}")
-    for i, A in enumerate(algebra.basis):
-        for B in algebra.basis[i + 1:]:
-            if np.linalg.norm(A @ B - B @ A) > tol:
-                return False
-    rel_rows = _intersection_rows(_vec(commutant(algebra).basis), _vec(ambient.basis))
-    if rel_rows.shape[0] != algebra.algebra_dim:
-        return False
-    relative = FiniteAlgebra(algebra.dim, _unvec(rel_rows, algebra.dim), True)
-    equal, _ = equal_span(algebra, relative, tol)
-    return equal
+    r = _inclusion_residual(algebra, ambient)
+    if r > tol:
+        raise InvariantViolation(f"algebra not inside ambient: residual {r:.3e}")
+    return algebra.algebra_dim == len(algebra.blocks) == sum(n for n, _ in ambient.blocks)
 
 
 def algebra_to_json(algebra: FiniteAlgebra) -> dict:
@@ -342,4 +348,4 @@ def algebra_from_json(obj: dict) -> FiniteAlgebra:
         basis = [operator_from_json(b) for b in obj["basis"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed algebra object: {exc}") from exc
-    return FiniteAlgebra.from_span(basis, dim=dim, validate=False)
+    return FiniteAlgebra.from_span(basis, dim=dim)

@@ -23,8 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvariantViolation
-from .algebras import (FiniteAlgebra, SPAN_TOL, _vec, _span_residual_single,
-                       contains, minimal_projections)
+from .algebras import FiniteAlgebra, SPAN_TOL, contains, minimal_projections
 from .operators import (DEFAULT_TOL, DEGENERACY_TOL, DensityState,
                         PartitionOfUnity, SpectralDecomposition, adjoint,
                         as_operator, operator_norm, spectral_decompose,
@@ -63,15 +62,12 @@ class CentralizerReport:
         """The pinched ambient, spanned by sum_l E_l B E_l over its basis B."""
         basis = np.stack(self.ambient.basis)
         pinched = sum(E @ basis @ E for E in self.state_spectral.projections)
-        return FiniteAlgebra.from_span(pinched, dim=self.ambient.dim, validate=False)
+        return FiniteAlgebra.from_span(pinched, dim=self.ambient.dim)
 
     @cached_property
     def center(self) -> FiniteAlgebra:
-        """The span of the atoms, each scaled to unit Hilbert-Schmidt norm."""
-        return FiniteAlgebra(self.ambient.dim,
-                             tuple(z / np.sqrt(np.trace(z).real)
-                                   for z in self.central_projections),
-                             True)
+        """The span of the atoms."""
+        return FiniteAlgebra.from_span(self.central_projections, dim=self.ambient.dim)
 
 
 def ambient_representative(ambient: FiniteAlgebra, state: DensityState) -> np.ndarray:
@@ -86,10 +82,8 @@ def ambient_representative(ambient: FiniteAlgebra, state: DensityState) -> np.nd
         raise ValueError("state and algebra dimensions differ")
     if ambient.algebra_dim == ambient.dim * ambient.dim:
         return P
-    rows = _vec(ambient.basis)
-    coeff = rows.conj() @ P.reshape(-1)
-    Q = (rows.T @ coeff).reshape(ambient.dim, ambient.dim)
-    # *-closed span, Hermitian input: the projection is Hermitian up to rounding
+    Q, _ = ambient.project(P)
+    # *-algebra, Hermitian input: the projection is Hermitian up to rounding
     return (Q + adjoint(Q)) / 2.0
 
 
@@ -144,14 +138,11 @@ def expect_onto_centralizer(ambient: FiniteAlgebra, state: DensityState,
     out = np.zeros_like(A)
     for P in report.state_spectral.projections:
         out += P @ A @ P
-    residual = 0.0
-    if ambient.algebra_dim < ambient.dim * ambient.dim:
-        rows = _vec(ambient.basis)
-        residual = _span_residual_single(rows, out)
-        if residual > 1e-14:
-            out = (rows.T @ (rows.conj() @ out.reshape(-1))).reshape(out.shape)
+    projected, residual = ambient.project(out)
+    if residual > 1e-14:
+        out = projected
     if return_info:
-        return out, PinchInfo(residual)
+        return out, PinchInfo(float(residual))
     return out
 
 

@@ -18,7 +18,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .algebras import FiniteAlgebra, SPAN_TOL, contains, full_matrix_algebra
+from .algebras import (FiniteAlgebra, SPAN_TOL, _inclusion_residual, contains,
+                       full_matrix_algebra)
 from .centralizers import CentralizerReport, centralizer, expect_onto_center
 from .errors import InadmissibleThresholdError, InvariantViolation
 from .operators import (DEFAULT_TOL, DensityState, PartitionOfUnity, _checked_norm,
@@ -123,11 +124,10 @@ class HeisenbergFrame:
                 raise InvariantViolation(
                     f"restriction algebras not nested at time {times[k + 1]}: "
                     "unrestricted access cannot follow a proper restriction")
-            for B in restr[k + 1].basis:
-                ok, r = contains(restr[k], B, SPAN_TOL)
-                if not ok:
-                    raise InvariantViolation(
-                        f"restriction algebras not nested at time {times[k + 1]}: residual {r:.3e}")
+            r = _inclusion_residual(restr[k + 1], restr[k])
+            if r > SPAN_TOL:
+                raise InvariantViolation(
+                    f"restriction algebras not nested at time {times[k + 1]}: residual {r:.3e}")
         object.__setattr__(self, "restrictions", restr)
 
     @property
@@ -248,7 +248,8 @@ class BranchRecord:
 
 def admissible_threshold(state: DensityState, partition: PartitionOfUnity,
                          safety: float = 0.5, tol: float = DEFAULT_TOL) -> float:
-    """Detection threshold: safety times the smallest outcome-weight gap.
+    """Safety times the smallest outcome-weight gap (``_weight_gap``); ``detect_event``
+    compares its distance against ``admissible_threshold(...) / N`` for N outcomes.
 
     Degenerate weights (or a single outcome) admit no threshold and raise.
     """
@@ -256,8 +257,7 @@ def admissible_threshold(state: DensityState, partition: PartitionOfUnity,
         raise ValueError(f"safety factor must lie in (0, 1), got {safety!r}")
     if partition.size < 2:
         raise InadmissibleThresholdError("no admissible threshold: single-outcome partition")
-    w = [state.expect_real(P) for P in partition.projections]
-    gap = min(abs(a - b) for i, a in enumerate(w) for b in w[i + 1:])
+    gap = _weight_gap(state, partition)
     if gap <= tol:
         raise InadmissibleThresholdError(
             f"no admissible threshold: outcome weight gap {gap:.3e}")
@@ -265,6 +265,8 @@ def admissible_threshold(state: DensityState, partition: PartitionOfUnity,
 
 
 def _weight_gap(state: DensityState, partition: PartitionOfUnity) -> float:
+    """Smallest outcome-weight gap (0 for one outcome); ``detect_event``
+    compares against safety * gap / N = ``admissible_threshold(...) / N``."""
     w = [state.expect_real(P) for P in partition.projections]
     if len(w) < 2:
         return 0.0

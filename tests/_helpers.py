@@ -4,15 +4,19 @@ Everything is driven by explicit ``numpy`` Generators so failures
 reproduce; tests derive their generator from a frozen seed.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from qevents import (DEFAULT_TOL, RANK_RCOND, BranchRecord, DensityState, EventRecord,
-                     FiniteAlgebra, InvariantViolation, PartitionOfUnity, TrajectoryResult,
-                     adjoint, ambient_representative, antihermitian_defect, center,
-                     centralizer, minimal_projections, operator_norm, substream)
-from qevents.algebras import _orthonormal_rows, _unvec, _vec
+from qevents import (DEFAULT_TOL, DEGENERACY_TOL, RANK_RCOND, SPAN_TOL, BranchRecord,
+                     DensityState, EventRecord, FiniteAlgebra, InvariantViolation,
+                     PartitionOfUnity, TrajectoryResult, adjoint, ambient_representative,
+                     antihermitian_defect, centralizer, operator_norm, spectral_decompose,
+                     substream)
 from qevents.events import _ambient, _detect, _resolve_policy, _sample_paths
 from qevents.histories import enumerate_protocols, lsw_probability
 
@@ -76,6 +80,148 @@ def block_algebra() -> FiniteAlgebra:
     return FiniteAlgebra.from_span(units)
 
 
+# -- span oracles ------------------------------------------------------------
+#
+# Generic linear algebra on the span of an algebra, held as HS-orthonormal
+# rows of a (k, dim^2) array: the reference path for the closed forms that
+# ``qevents.algebras`` reads off the Wedderburn form (V, blocks).
+
+
+def vec(ops) -> np.ndarray:
+    """Stack matrices as rows of a (k, dim^2) coefficient array."""
+    return np.stack([np.asarray(A, dtype=complex).reshape(-1) for A in ops])
+
+
+def unvec(rows: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
+    return tuple(row.reshape(dim, dim).copy() for row in rows)
+
+
+def orthonormal_rows(rows: np.ndarray, rcond: float = RANK_RCOND) -> np.ndarray:
+    """Orthonormal basis (as rows) of the row span, via rank-revealing SVD."""
+    if rows.size == 0:
+        return rows.reshape(0, rows.shape[-1])
+    _, s, vh = np.linalg.svd(rows, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return rows[:0]
+    return vh[s > rcond * s[0]]
+
+
+def span_rows(algebra: FiniteAlgebra) -> np.ndarray:
+    """HS-orthonormal rows spanning an algebra, from its basis."""
+    return vec(algebra.basis)
+
+
+def reference_residual(rows: np.ndarray, X: np.ndarray) -> float:
+    """HS norm of the component of X orthogonal to the row span."""
+    v = np.asarray(X, dtype=complex).reshape(-1)
+    return float(np.linalg.norm(v - rows.T @ (rows.conj() @ v)))
+
+
+def reference_project(rows: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """HS projection of X onto the row span."""
+    X = np.asarray(X, dtype=complex)
+    return (rows.T @ (rows.conj() @ X.reshape(-1))).reshape(X.shape)
+
+
+def reference_commutant(rows: np.ndarray, dim: int, rcond: float = RANK_RCOND) -> np.ndarray:
+    """Rows spanning the commutant, the nullspace of X -> [B, X] over the span.
+
+    Solves [B, X] = 0 for every row B as one stacked linear map on
+    vectorized X; the nullspace rows come out HS-orthonormal.
+    """
+    eye = np.eye(dim)
+    # row-major vec: vec(BX - XB) = (B (x) 1 - 1 (x) B^T) vec(X)
+    M = np.vstack([np.kron(B, eye) - np.kron(eye, B.T) for B in unvec(rows, dim)])
+    _, s, vh = np.linalg.svd(M, full_matrices=False)
+    # floor the reference scale at 1: the rows are HS-normalized, so an
+    # all-noise constraint matrix (everything commutes) must have rank 0
+    cutoff = rcond * max(s[0], 1.0) if s.size else 0.0
+    return vh[int(np.sum(s > cutoff)):].conj()
+
+
+def reference_intersection(rows_a: np.ndarray, rows_b: np.ndarray,
+                           rcond: float = RANK_RCOND) -> np.ndarray:
+    """Orthonormal rows spanning the intersection of two row spans."""
+    # Pairs (x, y) with A^T x = B^T y make up the nullspace of [A^T, -B^T].
+    stacked = np.hstack([rows_a.T, -rows_b.T])
+    _, s, vh = np.linalg.svd(stacked)
+    cutoff = rcond * max(s[0], 1.0) if s.size else 0.0
+    null = vh[int(np.sum(s > cutoff)):].conj()
+    if null.shape[0] == 0:
+        return rows_a[:0]
+    return orthonormal_rows(null[:, : rows_a.shape[0]] @ rows_a, rcond)
+
+
+def reference_center(rows: np.ndarray, dim: int) -> np.ndarray:
+    """Rows spanning the intersection of the span with its commutant."""
+    return reference_intersection(rows, reference_commutant(rows, dim))
+
+
+def reference_check_closure(rows: np.ndarray, dim: int, tol: float = SPAN_TOL) -> None:
+    """Raise unless the span is closed under adjoints and all pairwise products."""
+    mats = np.stack(unvec(rows, dim))
+    for k, B in enumerate(mats):
+        r = reference_residual(rows, adjoint(B))
+        if r > tol:
+            raise InvariantViolation(f"span not *-closed: adjoint of basis {k} exits by {r:.3e}")
+    m = len(mats)
+    prods = np.einsum("aij,bjk->abik", mats, mats).reshape(m * m, dim * dim)
+    resid = prods - (prods @ rows.conj().T) @ rows
+    worst = float(np.linalg.norm(resid, axis=1).max())
+    if worst > tol:
+        raise InvariantViolation(f"span not multiplicatively closed: product exits by {worst:.3e}")
+
+
+def reference_minimal_projections(rows: np.ndarray, dim: int,
+                                  tol: float = SPAN_TOL) -> tuple[np.ndarray, ...]:
+    """Minimal projections of an abelian span containing the identity.
+
+    A generic Hermitian element of the span separates the atoms; its
+    clustered eigenprojections are exactly the minimal projections.  The
+    draw is retried with fresh deterministic coefficients if an unlucky
+    combination merges two atoms.
+    """
+    basis = unvec(rows, dim)
+    for A in basis:
+        for B in basis:
+            if operator_norm(A @ B - B @ A) > tol:
+                raise InvariantViolation("minimal projections need an abelian algebra")
+    herms = [H for B in basis for H in ((B + adjoint(B)) / 2.0, (B - adjoint(B)) / 2.0j)]
+    for attempt in range(8):
+        coeff = np.random.default_rng(attempt).standard_normal(len(herms))
+        dec = spectral_decompose(sum(c * H for c, H in zip(coeff, herms)),
+                                 degeneracy_tol=DEGENERACY_TOL)
+        if len(dec.projections) == len(basis) and all(
+                reference_residual(rows, P) <= tol for P in dec.projections):
+            return dec.projections
+    raise InvariantViolation("could not resolve the minimal projections")
+
+
+def reference_equal_span(rows_a: np.ndarray, rows_b: np.ndarray, dim: int,
+                         tol: float = SPAN_TOL) -> tuple[bool, float]:
+    """Mutual containment of two row spans; (equal, worst residual)."""
+    worst = max([reference_residual(rows_b, A) for A in unvec(rows_a, dim)]
+                + [reference_residual(rows_a, B) for B in unvec(rows_b, dim)])
+    return worst <= tol, worst
+
+
+def reference_is_maximal_abelian(rows: np.ndarray, ambient_rows: np.ndarray, dim: int,
+                                 tol: float = SPAN_TOL) -> bool:
+    """Whether the span is abelian and equals its relative commutant in the ambient span."""
+    basis = unvec(rows, dim)
+    for B in basis:
+        r = reference_residual(ambient_rows, B)
+        if r > tol:
+            raise InvariantViolation(f"algebra not inside ambient: residual {r:.3e}")
+    for i, A in enumerate(basis):
+        for B in basis[i + 1:]:
+            if np.linalg.norm(A @ B - B @ A) > tol:
+                return False
+    relative = reference_intersection(reference_commutant(rows, dim), ambient_rows)
+    return (relative.shape[0] == rows.shape[0]
+            and reference_equal_span(rows, relative, dim, tol)[0])
+
+
 class ReferenceCentralizer(NamedTuple):
     centralizer: FiniteAlgebra
     center: FiniteAlgebra
@@ -87,9 +233,9 @@ def reference_centralizer(ambient: FiniteAlgebra, state: DensityState) -> Refere
 
     The test oracle for ``qevents.centralizer``: the centralizer is the
     nullspace of A -> [Q, A] on the ambient span (Q the state's in-span
-    representative), its center comes from ``center`` and the atoms from
-    ``minimal_projections``.  Duck-types as a report for
-    ``expect_onto_center``.
+    representative), its center comes from ``reference_center`` and the
+    atoms from ``reference_minimal_projections``.  Duck-types as a report
+    for ``expect_onto_center``.
     """
     Q = ambient_representative(ambient, state)
     d = ambient.dim
@@ -100,10 +246,11 @@ def reference_centralizer(ambient: FiniteAlgebra, state: DensityState) -> Refere
     # the nullspace must be the full span
     cutoff = RANK_RCOND * max(s[0], 1.0) if s.size else 0.0
     null_coeff = vh[int(np.sum(s > cutoff)):].conj()
-    cent_rows = null_coeff @ _vec(ambient.basis)
-    cent = FiniteAlgebra(d, _unvec(_orthonormal_rows(cent_rows), d), True)
-    cent_center = center(cent)
-    return ReferenceCentralizer(cent, cent_center, minimal_projections(cent_center))
+    cent_rows = orthonormal_rows(null_coeff @ span_rows(ambient))
+    center_rows = reference_center(cent_rows, d)
+    return ReferenceCentralizer(FiniteAlgebra.from_span(unvec(cent_rows, d)),
+                                FiniteAlgebra.from_span(unvec(center_rows, d)),
+                                reference_minimal_projections(center_rows, d))
 
 
 def reference_trajectory(frame, initial, safety=0.5, record_policy="always", rng_seed=0,
@@ -217,6 +364,24 @@ def reference_unitarity_defect(U) -> float:
     """||U*U - 1|| by SVD, the oracle of every unitarity check."""
     U = np.asarray(U, dtype=complex)
     return operator_norm(adjoint(U) @ U - np.eye(U.shape[0]))
+
+
+def run_capped(script: str, cap_bytes: int = 1 << 30,
+               timeout: float = 120.0) -> subprocess.CompletedProcess:
+    """Run a Python script in a child whose address space is capped at ``cap_bytes``.
+
+    The child sets ``RLIMIT_AS`` on itself before importing anything, so an
+    allocation beyond the cap raises ``MemoryError`` there instead of
+    growing the test process.  It runs with one BLAS thread and imports
+    this checkout's qevents.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    prologue = ("import resource\n"
+                f"resource.setrlimit(resource.RLIMIT_AS, ({cap_bytes}, {cap_bytes}))\n")
+    return subprocess.run([sys.executable, "-c", prologue + script],
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def outcome(fn, *args, **kwargs):

@@ -11,7 +11,7 @@ from qevents import (DensityState, FiniteAlgebra, HeisenbergFrame,
 from qevents.events import _sample_paths
 
 from _helpers import (random_density, random_partition, random_unitary,
-                      reference_trajectory, rng)
+                      reference_trajectory, rng, run_capped)
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E22 = np.diag([0.0, 1.0]).astype(complex)
@@ -141,6 +141,24 @@ class TestDetectEvent:
     def test_unknown_time_rejected(self):
         with pytest.raises(ValueError, match="not in the frame"):
             detect_event(single_time_frame(), RHO_37, 5.0, PART)
+
+    def test_full_access_at_dimension_256_fits_in_1_gib(self):
+        # the full matrix algebra as ambient, where a span basis alone has
+        # d^4 entries (68 GB); the state has two eigenvalues, so two atoms
+        script = (
+            "import numpy as np\n"
+            "from qevents import DensityState, HeisenbergFrame, PartitionOfUnity, detect_event\n"
+            "low = np.arange(256) < 128\n"
+            "P = np.diag(low.astype(float))\n"
+            "part = PartitionOfUnity(('a', 'b'), (P, np.eye(256) - P))\n"
+            "frame = HeisenbergFrame.build(times=(1.0,), partitions=part)\n"
+            "state = DensityState(np.diag(np.where(low, 0.3, 0.7) / 128))\n"
+            "v = detect_event(frame, state, 1.0, part)\n"
+            "print(v.happened, v.distance, round(v.threshold, 12))\n"
+        )
+        proc = run_capped(script)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split("\n")[0] == "True 0.0 0.1"
 
 
 class TestEarliestEvent:
