@@ -49,7 +49,6 @@ def _identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
-@dataclass(frozen=True, eq=False)
 class HeisenbergFrame:
     """Times, propagators, candidate partitions and restriction algebras.
 
@@ -60,56 +59,58 @@ class HeisenbergFrame:
     ``times[k]`` on; later algebras must be contained in earlier ones.  A
     ``None`` entry stands for unrestricted access (the full matrix algebra,
     materialized lazily only when detection asks for it, so large frames used
-    purely for history evaluation never pay for it).
+    purely for history evaluation never pay for it).  ``propagators`` given
+    as None stands for the identity at every time; the frame then holds no
+    d x d array of its own, and its dimension is that of the partitions.
 
     Derived data is cached on the instance with ``functools.cached_property``:
-    currently ``full_ambient``.
+    ``full_ambient``, and ``propagators`` when given as None (one shared,
+    read-only identity matrix, materialized on first read).
     """
 
-    times: tuple[float, ...]
-    propagators: tuple[np.ndarray, ...]
-    partitions: tuple[tuple[PartitionOfUnity, ...], ...]
-    restrictions: tuple[FiniteAlgebra | None, ...]
-
-    def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
+    def __init__(self, times, propagators, partitions, restrictions):
+        times = tuple(float(t) for t in times)
         if len(times) == 0:
             raise ValueError("frame needs at least one time")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("times must be strictly increasing")
-        object.__setattr__(self, "times", times)
+        self.times = times
 
-        props = tuple(as_operator(U) for U in self.propagators)
-        if len(props) != len(times):
-            raise ValueError("one propagator per time required")
-        dim = props[0].shape[0]
-        for k, U in enumerate(props):
-            if U.shape[0] != dim:
-                raise ValueError("propagators must share one dimension")
-            r = _unitarity_defect(U, DEFAULT_TOL)
-            if r > DEFAULT_TOL:
-                raise InvariantViolation(f"propagator at time {times[k]} not unitary: {r:.3e}")
-        r0 = _checked_norm(props[0] - np.eye(dim), DEFAULT_TOL)
-        if r0 > DEFAULT_TOL:
-            raise InvariantViolation(f"propagator at the initial time must be the identity: {r0:.3e}")
-        object.__setattr__(self, "propagators", props)
+        dim = None
+        if propagators is not None:
+            props = tuple(as_operator(U) for U in propagators)
+            if len(props) != len(times):
+                raise ValueError("one propagator per time required")
+            dim = props[0].shape[0]
+            for k, U in enumerate(props):
+                if U.shape[0] != dim:
+                    raise ValueError("propagators must share one dimension")
+                r = _unitarity_defect(U, DEFAULT_TOL)
+                if r > DEFAULT_TOL:
+                    raise InvariantViolation(f"propagator at time {times[k]} not unitary: {r:.3e}")
+            r0 = _checked_norm(props[0] - np.eye(dim), DEFAULT_TOL)
+            if r0 > DEFAULT_TOL:
+                raise InvariantViolation(f"propagator at the initial time must be the identity: {r0:.3e}")
+            self.propagators = props
 
         parts = []
-        for k, cand in enumerate(self.partitions):
+        for k, cand in enumerate(partitions):
             if isinstance(cand, PartitionOfUnity):
                 cand = (cand,)
             cand = tuple(cand)
             if len(cand) == 0:
                 raise ValueError(f"no candidate partition at time {times[k]}")
             for P in cand:
+                dim = P.dim if dim is None else dim
                 if P.dim != dim:
                     raise ValueError("partition dimension differs from frame dimension")
             parts.append(cand)
         if len(parts) != len(times):
             raise ValueError("one candidate list per time required")
-        object.__setattr__(self, "partitions", tuple(parts))
+        self.partitions = tuple(parts)
+        self.dim = dim
 
-        restr = tuple(self.restrictions)
+        restr = tuple(restrictions)
         if len(restr) != len(times):
             raise ValueError("one restriction algebra per time required")
         full_dim = dim * dim
@@ -128,11 +129,14 @@ class HeisenbergFrame:
             if r > SPAN_TOL:
                 raise InvariantViolation(
                     f"restriction algebras not nested at time {times[k + 1]}: residual {r:.3e}")
-        object.__setattr__(self, "restrictions", restr)
+        self.restrictions = restr
 
-    @property
-    def dim(self) -> int:
-        return self.propagators[0].shape[0]
+    @cached_property
+    def propagators(self) -> tuple[np.ndarray, ...]:
+        """Identity propagators, materialized on first read (given as None)."""
+        eye = _identity(self.dim)
+        eye.setflags(write=False)
+        return (eye,) * len(self.times)
 
     @cached_property
     def full_ambient(self) -> FiniteAlgebra:
@@ -148,22 +152,20 @@ class HeisenbergFrame:
         already transported) or, together with ``propagators`` or
         ``step_propagator``, a single list of base partitions to conjugate
         into each time.  ``step_propagator`` S produces the propagator S^k
-        for the k-th listed time.
+        for the k-th listed time.  With neither, every propagator is the
+        identity: the frame gets None (no d x d array), and base partitions
+        are used as they are at every time.
         """
         times = tuple(float(t) for t in times)
         n = len(times)
 
-        def infer_dim():
-            if dim is not None:
-                return dim
-            probe = partitions
-            while isinstance(probe, (list, tuple)) and probe:
-                probe = probe[0]
-            if isinstance(probe, PartitionOfUnity):
-                return probe.dim
+        probe = partitions
+        while isinstance(probe, (list, tuple)) and probe:
+            probe = probe[0]
+        probe_dim = probe.dim if isinstance(probe, PartitionOfUnity) else None
+        d = probe_dim if dim is None else dim
+        if d is None:
             raise ValueError("cannot infer frame dimension")
-
-        d = infer_dim()
         if step_propagator is not None:
             S = as_operator(step_propagator, d)
             props = []
@@ -174,7 +176,11 @@ class HeisenbergFrame:
             props = tuple(props)
         elif propagators is not None:
             props = tuple(as_operator(U, d) for U in propagators)
+        elif probe_dim == d:
+            props = None
         else:
+            # an explicit ``dim`` the partitions contradict: dense identities
+            # of that dimension let the frame report the mismatch
             props = tuple(_identity(d) for _ in range(n))
 
         base_mode = (isinstance(partitions, Sequence)
@@ -183,7 +189,9 @@ class HeisenbergFrame:
         if isinstance(partitions, PartitionOfUnity):
             partitions = [partitions]
             base_mode = True
-        if base_mode:
+        if base_mode and props is None:
+            per_time = (tuple(partitions),) * n
+        elif base_mode:
             per_time = tuple(tuple(p.conjugated(U) for p in partitions) for U in props)
         else:
             per_time = tuple(tuple(c) if not isinstance(c, PartitionOfUnity) else (c,)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .events import HeisenbergFrame, _sample_paths
-from .operators import DensityState, PartitionOfUnity, _diagonal
+from .operators import DensityState, PartitionOfUnity
 from .seeding import substream
 
 logger = logging.getLogger(__name__)
@@ -81,10 +81,9 @@ def lsw_probability(frame: HeisenbergFrame, initial: DensityState,
     for t, label in zip(protocol.times, protocol.outcomes):
         partition = _partition_for(frame, frame.index_of(t), label)
         factors.append((partition, partition.index_for(label)))
-    diagonal = None
-    if all(partition.diagonals is not None for partition, _ in factors):
-        diagonal = _diagonal(initial.matrix)
-    if diagonal is not None:
+    diagonal = initial.diagonal
+    if diagonal is not None and all(partition.diagonals is not None
+                                    for partition, _ in factors):
         for partition, j in factors:
             p = partition.diagonals[j]
             diagonal = p * diagonal * p
@@ -135,13 +134,21 @@ def _walk_outcome_tree(frame: HeisenbergFrame, initial: DensityState, steps: int
     """Walk the outcome tree over the first ``steps`` times depth first.
 
     Each node's state is ``P @ sigma @ P`` of its parent's, from the root
-    ``initial.matrix``: the products ``lsw_probability`` takes.  A node's
-    mass is the real trace of its state (1.0 at the root).  Children come in
-    label order, so ``visit(outcomes, mass)`` sees the leaves in
+    ``initial.matrix``: the products ``lsw_probability`` takes, on the
+    diagonals alone when the state and every partition walked are diagonal.
+    A node's mass is the real trace of its state (1.0 at the root).  Children
+    come in label order, so ``visit(outcomes, mass)`` sees the leaves in
     ``itertools.product`` order.  Returns the largest gap between an inner
     node's mass and the sum of its children's.
     """
     _label_sets(frame, steps)
+    partitions = [frame.partitions[k][0] for k in range(steps)]
+    diagonal = (initial.diagonal is not None
+                and all(p.diagonals is not None for p in partitions))
+    if diagonal:
+        root, families = initial.diagonal, [p.diagonals for p in partitions]
+    else:
+        root, families = initial.matrix, [p.projections for p in partitions]
     max_marginal = 0.0
 
     def walk(k: int, outcomes: tuple, sigma: np.ndarray, mass: float):
@@ -149,16 +156,15 @@ def _walk_outcome_tree(frame: HeisenbergFrame, initial: DensityState, steps: int
         if k == steps:
             visit(outcomes, mass)
             return
-        partition = frame.partitions[k][0]
         child_sum = 0.0
-        for label, P in zip(partition.labels, partition.projections):
-            child = P @ sigma @ P
-            child_mass = float(np.real(np.trace(child)))
+        for label, P in zip(partitions[k].labels, families[k]):
+            child = P * sigma * P if diagonal else P @ sigma @ P
+            child_mass = float(np.real(np.sum(child) if diagonal else np.trace(child)))
             child_sum += child_mass
             walk(k + 1, outcomes + (label,), child, child_mass)
         max_marginal = max(max_marginal, abs(child_sum - mass))
 
-    walk(0, (), initial.matrix, 1.0)
+    walk(0, (), root, 1.0)
     return max_marginal
 
 

@@ -257,7 +257,23 @@ class ProtocolSample:
         return out
 
     def protocol(self, i: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.outcomes[i])
+        """The +1/-1 outcomes of protocol i (negative i counts from the end).
+
+        Reads ``outcomes`` when it is cached; otherwise replays row i alone.
+        ``_draw_clicks`` draws one double per latent label, then the rows in
+        order, n doubles each, so row i starts count + i * n doubles into the
+        stream.  Philox yields four doubles a counter step: ``advance``
+        skips whole steps and the remainder is drawn and dropped.
+        """
+        i = range(self.count)[i]                 # IndexError out of range
+        if "outcomes" in self.__dict__:
+            return tuple(int(x) for x in self.outcomes[i])
+        rng = substream(self.seed, self.stream)
+        skip = self.count + i * self.n
+        rng.bit_generator.advance(skip // 4)
+        rng.random(skip % 4)
+        clicks = rng.random(self.n) < self.model.p_plus[self.latent[i]]
+        return tuple(1 if c else -1 for c in clicks.tolist())
 
     def plus_counts(self) -> np.ndarray:
         return self.plus
@@ -447,10 +463,7 @@ def born_rule_experiment(model: DeFinettiModel, n: int, count: int,
                               exact_mass, exact_coverage, exact_ambiguous, None)
 
     sample = sample_protocols(model, n, count, seed)
-    freqs = sample.frequencies()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        m = _band_matches(freqs, model, band)
+    m = matches[sample.plus]              # plus / n is the grid point ks[plus] / n
     h = m.sum(axis=1)
     labels = np.where(h == 1, m.argmax(axis=1), -1)
     empirical = {nu: float((labels == nu).mean()) for nu in range(H)}
@@ -493,14 +506,19 @@ def posterior(model: DeFinettiModel, protocol) -> Posterior:
 
 
 def posterior_entropies(model: DeFinettiModel, sample: ProtocolSample) -> np.ndarray:
-    """Posterior entropy in bits for every protocol of a sample, vectorized."""
-    lw = _log_posterior_rows(model, sample.plus_counts(), sample.n)
+    """Posterior entropy in bits for every protocol of a sample, vectorized.
+
+    The posterior depends on a protocol only through its +1 count, so the
+    entropies are computed once per distinct count and then spread out.
+    """
+    counts, inverse = np.unique(sample.plus_counts(), return_inverse=True)
+    lw = _log_posterior_rows(model, counts, sample.n)
     totals = _logsumexp(lw)
     if not np.isfinite(totals).all():
         raise ValueError("zero-probability protocol has no posterior")
     norm = lw - totals[:, None]
     w = np.exp(norm)
-    return -np.where(w > 0, w * norm, 0.0).sum(axis=1) / LN2
+    return (-np.where(w > 0, w * norm, 0.0).sum(axis=1) / LN2)[inverse]
 
 
 def relative_entropy(model: DeFinettiModel, nu1: int, nu2: int) -> float:
@@ -690,6 +708,13 @@ def commuting_realization(model: DeFinettiModel, n: int,
     the k-th letter.  Everything commutes, so the sequential measure of any
     prefix equals the exchangeable mixture probability exactly.  Frame times
     are tau, 2*tau, ..., n*tau.
+
+    The model is built and validated on diagonals, and its propagators are
+    identities held as None, so no dim x dim array exists: memory is O(dim * n)
+    and ``lsw_probability`` and ``consistency_check`` stay on the diagonals.
+    The dense matrices (``state.matrix``, each partition's ``projections``,
+    ``frame.propagators``) are materialized only when first read, as by
+    detection, the trajectory sampler or conjugation.
     """
     n = int(n)
     if n < 1:
@@ -707,17 +732,13 @@ def commuting_realization(model: DeFinettiModel, n: int,
     for nu in range(H):
         probs = np.where(bits == 1, model.p_plus[nu], model.p_minus[nu]).prod(axis=1)
         diag[nu << n:(nu + 1) << n] = model.weights[nu] * probs
-    state = DensityState(np.diag(diag.astype(complex)))
+    state = DensityState(diag.astype(complex))
 
     partitions = []
     for k in range(n):
         plus_bit = np.tile(bits[:, k], H).astype(complex)
-        P_plus = np.diag(plus_bit)
-        P_minus = np.diag(1.0 - plus_bit)
-        partitions.append((PartitionOfUnity((1, -1), (P_plus, P_minus)),))
+        partitions.append((PartitionOfUnity((1, -1), (plus_bit, 1.0 - plus_bit)),))
 
     times = tuple(model.tau * (k + 1) for k in range(n))
-    eye = np.eye(dim, dtype=complex)
-    frame = HeisenbergFrame(times, tuple(eye for _ in range(n)),
-                            tuple(partitions), (None,) * n)
+    frame = HeisenbergFrame(times, None, tuple(partitions), (None,) * n)
     return frame, state

@@ -1,9 +1,15 @@
-"""Dense complex-matrix primitives: spectral data, states, partitions of unity.
+"""Complex-matrix primitives: spectral data, states, partitions of unity.
 
 Operators are plain ``numpy.ndarray`` matrices of complex dtype.  The helpers
 here supply the predicates, decompositions and (de)serialization that the rest
-of the package builds on.  All dimensions are desk scale, so everything is
-dense and exact up to the module tolerances.
+of the package builds on, exact up to the module tolerances.
+
+Diagonal operators need not be dense.  A state or a partition of unity can
+be built from diagonals (1-D arrays), is validated on them, and keeps them;
+its d x d matrices are materialized only when a dense consumer (detection,
+the trajectory sampler, conjugation) first reads them.  So a commuting model
+costs O(d) memory per operator, which is what lets the commuting
+constructions reach a few thousand dimensions.
 """
 
 from __future__ import annotations
@@ -97,6 +103,31 @@ def _diagonal(A: np.ndarray) -> np.ndarray | None:
     return d.copy()
 
 
+def _operand(A) -> np.ndarray:
+    """A square complex matrix, or a finite 1-D array standing for the diagonal
+    matrix it spells.
+
+    A 1-D array with a non-finite entry is spelled out as its matrix, so that
+    it meets the dense checks and is rejected exactly as that matrix would be.
+    """
+    A = np.asarray(A, dtype=complex)
+    if A.ndim == 1 and np.isfinite(A).all():
+        return A
+    return as_operator(np.diag(A) if A.ndim == 1 else A)
+
+
+def _operands(family) -> list[np.ndarray]:
+    """``_operand`` of each member: all diagonals of one length, or all matrices.
+
+    Diagonals are kept only when every member is one and they share their
+    length; otherwise they are spelled out, as in ``_operand``.
+    """
+    family = [_operand(A) for A in family]
+    if any(A.ndim == 1 for A in family) and any(A.shape != family[0].shape for A in family):
+        family = [as_operator(np.diag(A)) if A.ndim == 1 else A for A in family]
+    return family
+
+
 def _checked_norm(X: np.ndarray, tol: float) -> float:
     """A norm of X that exceeds ``tol`` exactly when ``operator_norm(X)`` does.
 
@@ -180,15 +211,17 @@ def validate_projection_family(projections, complete: bool = True,
                                tol: float = DEFAULT_TOL) -> None:
     """Check idempotence, Hermiticity, pairwise orthogonality, completeness.
 
-    Each check compares a spectral norm with ``tol``.  When every projection
-    is diagonal (exactly zero off the diagonal, finite on it) the checks run
-    on the diagonals alone, with no matrix product.
+    Each check compares a spectral norm with ``tol``.  A projection is a
+    matrix or its diagonal (see ``_operands``).  When every projection is
+    diagonal (given as a diagonal, or exactly zero off the diagonal and
+    finite on it) the checks run on the diagonals alone, with no matrix
+    product.
     """
-    projections = [as_operator(P) for P in projections]
+    projections = _operands(projections)
     dim = projections[0].shape[0]
     family, mul, identity = projections, np.matmul, np.eye
     if all(P.shape[0] == dim for P in projections):
-        diags = [_diagonal(P) for P in projections]
+        diags = [P if P.ndim == 1 else _diagonal(P) for P in projections]
         if all(d is not None for d in diags):
             family, mul, identity = diags, np.multiply, np.ones
     for k, P in enumerate(family):
@@ -246,16 +279,20 @@ def spectral_decompose(X: np.ndarray,
 class DensityState:
     """A density matrix acting as the state functional A -> tr(rho A).
 
-    A diagonal matrix (see ``validate_projection_family``) is validated on
-    its diagonal: its eigenvalues are the diagonal entries themselves.
+    ``matrix`` may be a d x d matrix or a 1-D array, the diagonal of a
+    diagonal state (see ``_operand``).  A diagonal state is validated on its
+    diagonal: its eigenvalues are the diagonal entries themselves.
+
+    Two views are cached on the instance with ``functools.cached_property``:
+    ``diagonal``, the diagonal of a diagonal state and None otherwise, which
+    a state built from a matrix computes on first read; and ``matrix``, which
+    a state built from its diagonal materializes on first read.
     """
 
-    __slots__ = ("matrix",)
-
     def __init__(self, matrix, tol: float = DEFAULT_TOL, validate: bool = True):
-        M = as_operator(matrix)
+        M = _operand(matrix)
         if validate:
-            d = _diagonal(M)
+            d = M if M.ndim == 1 else _diagonal(M)
             X = M if d is None else d
             h = _checked_norm((X - adjoint(X)) / 2.0, tol)
             if h > tol:
@@ -264,14 +301,24 @@ class DensityState:
             w = np.linalg.eigvalsh(M) if d is None else d.real
             if w.min() < -tol:
                 raise InvariantViolation(f"density matrix has negative weight {w.min():.3e}")
-            tr = float(np.real(np.trace(M)))
+            tr = float(np.real(np.trace(M) if M.ndim == 2 else np.sum(M)))
             if abs(tr - 1.0) > tol:
                 raise InvariantViolation(f"density matrix trace {tr!r} differs from 1")
-        self.matrix = M
+        self.dim = M.shape[0]
+        if M.ndim == 1:
+            self.diagonal = M
+        else:
+            self.matrix = M
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    @cached_property
+    def diagonal(self) -> np.ndarray | None:
+        """The diagonal if the state is diagonal (see ``_diagonal``), else None."""
+        return _diagonal(self.matrix)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The d x d density matrix, materialized from ``diagonal`` on first read."""
+        return np.diag(self.diagonal)
 
     def expect(self, A: np.ndarray) -> complex:
         """Value of the functional on A, tr(rho A)."""
@@ -290,36 +337,44 @@ class DensityState:
         return f"DensityState(dim={self.dim})"
 
 
-@dataclass(frozen=True, eq=False)
 class PartitionOfUnity:
     """Labeled family of orthogonal projections summing to the identity.
 
+    Each projection may be given as a d x d matrix or, for a diagonal
+    partition, as its diagonal, a 1-D array (see ``_operands``).  The family
+    is validated on construction by ``validate_projection_family``.
+
     Derived data is cached on the instance with ``functools.cached_property``:
-    currently ``stack`` and ``diagonals``.
+    ``projections``, which a partition built from diagonals materializes on
+    first read; ``diagonals``, which a partition built from matrices
+    computes on first read; and ``stack``.
     """
 
-    labels: tuple
-    projections: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if len(self.labels) != len(self.projections):
+    def __init__(self, labels, projections):
+        labels, projections = tuple(labels), tuple(projections)
+        if len(labels) != len(projections):
             raise ValueError("labels and projections must have equal length")
-        if len(self.labels) == 0:
+        if len(labels) == 0:
             raise ValueError("empty partition")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValueError("labels must be distinct")
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "projections",
-                           tuple(as_operator(P) for P in self.projections))
-        validate_projection_family(self.projections, complete=True)
+        self.labels = labels
+        family = _operands(projections)
+        validate_projection_family(family, complete=True)
+        self.dim = family[0].shape[0]
+        if family[0].ndim == 1:
+            self.diagonals = np.stack(family)
+        else:
+            self.projections = tuple(family)
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
-    @property
-    def dim(self) -> int:
-        return self.projections[0].shape[0]
+    @cached_property
+    def projections(self) -> tuple[np.ndarray, ...]:
+        """The d x d projections, materialized from ``diagonals`` on first read."""
+        return tuple(np.diag(d) for d in self.diagonals)
 
     @cached_property
     def stack(self) -> np.ndarray:
@@ -359,6 +414,9 @@ class PartitionOfUnity:
         """Partition labeled by the clustered eigenvalues of a Hermitian X."""
         dec = spectral_decompose(X, degeneracy_tol=degeneracy_tol)
         return cls(dec.eigenvalues, dec.projections)
+
+    def __repr__(self):
+        return f"PartitionOfUnity(labels={self.labels!r}, dim={self.dim})"
 
 
 # --- JSON round-tripping ---------------------------------------------------

@@ -19,6 +19,7 @@ from qevents import (DEFAULT_TOL, DEGENERACY_TOL, RANK_RCOND, SPAN_TOL, BranchRe
                      substream)
 from qevents.events import _ambient, _detect, _resolve_policy, _sample_paths
 from qevents.histories import enumerate_protocols, lsw_probability
+from qevents.mesoscopic import _log_posterior_rows, _logsumexp
 
 
 def rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -430,3 +431,46 @@ def reference_sample_protocols(model, n: int, count: int, seed=0, stream=0):
         thresholds = model.p_plus[latent[start:stop]][:, None]
         outcomes[start:stop] = np.where(u < thresholds, 1, -1)
     return outcomes, latent.astype(np.int64)
+
+
+def reference_posterior_entropies(model, sample) -> np.ndarray:
+    """Posterior entropies in bits, one row of log-weights per protocol.
+
+    The test oracle for ``qevents.posterior_entropies``, which computes one
+    row per distinct +1 count and spreads the rows out.
+    """
+    lw = _log_posterior_rows(model, sample.plus_counts(), sample.n)
+    totals = _logsumexp(lw)
+    if not np.isfinite(totals).all():
+        raise ValueError("zero-probability protocol has no posterior")
+    norm = lw - totals[:, None]
+    w = np.exp(norm)
+    return -np.where(w > 0, w * norm, 0.0).sum(axis=1) / np.log(2.0)
+
+
+def reference_outcome_tree(frame, initial, steps: int) -> tuple[dict, float]:
+    """Leaf masses and the largest prefix-marginal gap, by dense products.
+
+    The test oracle for ``qevents.histories._walk_outcome_tree``, which
+    multiplies diagonals when the state and the partitions have them: here
+    every node is ``P @ sigma @ P`` of d x d matrices and its mass the real
+    trace, whatever the structure.
+    """
+    leaves, gap = {}, 0.0
+
+    def walk(k, outcomes, sigma, mass):
+        nonlocal gap
+        if k == steps:
+            leaves[outcomes] = mass
+            return
+        partition = frame.partitions[k][0]
+        child_sum = 0.0
+        for label, P in zip(partition.labels, partition.projections):
+            child = P @ sigma @ P
+            child_mass = float(np.real(np.trace(child)))
+            child_sum += child_mass
+            walk(k + 1, outcomes + (label,), child, child_mass)
+        gap = max(gap, abs(child_sum - mass))
+
+    walk(0, (), initial.matrix, 1.0)
+    return leaves, gap

@@ -52,6 +52,26 @@ class TestFrameConstruction:
             HeisenbergFrame((1.0, 2.0), (I2, np.eye(3, dtype=complex)),
                             ((PART,), (PART,)), (None, None))
 
+    def test_identity_propagators_are_implicit(self):
+        fr = HeisenbergFrame.build((1.0, 2.0, 3.0), PART)
+        assert "propagators" not in vars(fr)
+        assert fr.dim == 2 and all(c == (PART,) for c in fr.partitions)
+        assert len(fr.propagators) == 3
+        for U in fr.propagators:
+            np.testing.assert_array_equal(U, I2)
+            assert not U.flags.writeable
+        direct = HeisenbergFrame((1.0,), None, ((PART,),), (None,))
+        assert direct.dim == 2 and "propagators" not in vars(direct)
+        with pytest.raises(ValueError, match="one candidate list per time"):
+            HeisenbergFrame((1.0, 2.0), None, ((PART,),), (None, None))
+
+    def test_explicit_dimension_must_match_the_partitions(self):
+        with pytest.raises(ValueError, match="partition dimension differs"):
+            HeisenbergFrame.build((1.0, 2.0), [(PART,), (PART,)], dim=3)
+        part3 = PartitionOfUnity(("a", "b"), ([1, 0, 0], [0, 1, 1]))
+        with pytest.raises(ValueError, match="partition dimension differs"):
+            HeisenbergFrame.build((1.0, 2.0), [(PART,), (part3,)])
+
     def test_step_propagator_builds_powers(self):
         fr = hadamard_frame(3)
         np.testing.assert_allclose(fr.propagators[0], I2, atol=1e-12)

@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qevents import (DensityState, HeisenbergFrame, MeasurementProtocol,
                      PartitionOfUnity, commuting_realization, consistency_check,
-                     DeFinettiModel, enumerate_protocols, exact_protocol_probability,
+                     DeFinettiModel, detect_event, enumerate_protocols,
+                     exact_protocol_probability,
                      lsw_probability, operator_norm, sampler_vs_measure)
 from qevents.histories import _clamp, _walk_outcome_tree
 
-from _helpers import random_density, random_unitary, reference_sampler_vs_measure, rng
+from _helpers import (random_density, random_unitary, reference_outcome_tree,
+                      reference_sampler_vs_measure, rng, run_capped)
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E22 = np.diag([0.0, 1.0]).astype(complex)
@@ -229,11 +233,92 @@ class TestCommutingModels:
         with pytest.raises(AssertionError):
             operator_norm(np.ones((2, 2)))       # the patch reaches numpy's norm
         model = DeFinettiModel(np.array([0.3, 0.7]), np.array([0.45, 0.9]))
-        frame, state = commuting_realization(model, 8)   # dim 512
-        assert state.dim == 512
-        word = (1, -1, -1, 1, 1, 1, -1, 1)
-        value = lsw_probability(frame, state, MeasurementProtocol(word, frame.times))
+        tracemalloc.start()
+        try:
+            frame, state = commuting_realization(model, 10)   # dim 2048
+            word = (1, -1, -1, 1, 1, 1, -1, 1, 1, -1)
+            value = lsw_probability(frame, state, MeasurementProtocol(word, frame.times))
+            report = consistency_check(frame, state, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.dim == 2048
         assert value == pytest.approx(exact_protocol_probability(model, word), abs=1e-15)
+        assert report.leaves == 1024 and report.normalization_residual < 1e-12
+        # O(dim) memory: 4 MB at dim 2048, where one dense matrix takes 64 MB
+        assert peak < 2048 * state.dim, f"tracemalloc peak {peak / 2**20:.1f} MB"
+        assert "matrix" not in vars(state)
+        assert all("projections" not in vars(c[0]) for c in frame.partitions)
+        assert "propagators" not in vars(frame)
+
+    @pytest.mark.parametrize("weights,p_plus,n", REALIZATIONS[:3])
+    def test_walk_on_diagonals_matches_the_dense_walk(self, weights, p_plus, n):
+        model = DeFinettiModel(np.array(weights), np.array(p_plus))
+        frame, state = commuting_realization(model, n)
+        steps = min(n, 4)
+        leaves = {}
+        gap = _walk_outcome_tree(frame, state, steps,
+                                 lambda outcomes, mass: leaves.update({outcomes: mass}))
+        dense_leaves, dense_gap = reference_outcome_tree(frame, state, steps)
+        assert list(leaves) == list(dense_leaves)
+        for key, mass in leaves.items():
+            assert mass == pytest.approx(dense_leaves[key], abs=1e-15)
+        assert gap == pytest.approx(dense_gap, abs=1e-15)
+        report = consistency_check(frame, state, steps)
+        assert report.leaves == 2 ** steps
+        assert report.max_marginal_residual == gap
+        assert report.normalization_residual == pytest.approx(
+            abs(sum(dense_leaves.values()) - 1.0), abs=1e-15)
+
+    def test_dense_consumers_see_the_same_model(self):
+        model = DeFinettiModel(np.array([0.2, 0.3, 0.5]), np.array([0.1, 0.5, 0.9]))
+        frame, state = commuting_realization(model, 3)
+        dense_frame = HeisenbergFrame(
+            frame.times, tuple(np.eye(frame.dim, dtype=complex) for _ in frame.times),
+            tuple((PartitionOfUnity(c[0].labels, c[0].projections),) for c in frame.partitions),
+            frame.restrictions)
+        dense_state = DensityState(state.matrix)
+        assert (sampler_vs_measure(frame, state, 3, 4000, seed=5)
+                == sampler_vs_measure(dense_frame, dense_state, 3, 4000, seed=5))
+        for k, t in enumerate(frame.times):
+            got = detect_event(frame, state, t, frame.partitions[k][0])
+            want = detect_event(dense_frame, dense_state, t, dense_frame.partitions[k][0])
+            assert (got.happened, got.distance, got.gap) == (want.happened, want.distance,
+                                                             want.gap)
+
+    def test_dim_4096_in_o_dim_memory(self):
+        script = (
+            "import time, tracemalloc\n"
+            "import numpy as np\n"
+            "from qevents import (DeFinettiModel, MeasurementProtocol,\n"
+            "                     commuting_realization, lsw_probability)\n"
+            "model = DeFinettiModel(np.array([0.3, 0.7]), np.array([0.45, 0.9]))\n"
+            "word = (1, -1, -1, 1, 1, 1, -1, 1, 1, -1, 1)\n"
+            "tracemalloc.start()\n"
+            "t0 = time.perf_counter()\n"
+            "frame, state = commuting_realization(model, 11)\n"
+            "lsw_probability(frame, state, MeasurementProtocol(word, frame.times))\n"
+            "elapsed = time.perf_counter() - t0\n"
+            "peak = tracemalloc.get_traced_memory()[1]\n"
+            "dim = state.dim\n"
+            "tracemalloc.stop()\n"
+            "frame, state = commuting_realization(model, 10)\n"
+            "proto = MeasurementProtocol(word[:10], frame.times)\n"
+            "lsw_probability(frame, state, proto)\n"
+            "repeated = []\n"
+            "for _ in range(21):\n"
+            "    t0 = time.perf_counter()\n"
+            "    lsw_probability(frame, state, proto)\n"
+            "    repeated.append(time.perf_counter() - t0)\n"
+            "print(dim, elapsed, peak, float(np.median(repeated)))\n"
+        )
+        proc = run_capped(script)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        dim, elapsed, peak, repeated = proc.stdout.split()
+        assert dim == "4096"
+        assert float(elapsed) < 1.0, f"n=11 build and one lsw_probability took {elapsed} s"
+        assert float(peak) < 200 * 2 ** 20, f"n=11 tracemalloc peak {float(peak) / 2**20:.0f} MB"
+        assert float(repeated) < 1e-3, f"repeated n=10 lsw_probability took {repeated} s"
 
     def test_mixture_realization_is_exactly_consistent(self):
         model = DeFinettiModel(np.array([0.4, 0.6]), np.array([0.8, 0.3]))

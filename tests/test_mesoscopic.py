@@ -14,7 +14,9 @@ from qevents.histories import MeasurementProtocol
 from qevents.mesoscopic import (_binom_logpmf, _binom_pmf, _logsumexp, _xlogy,
                                  log_band_mass)
 
-from _helpers import reference_sample_protocols
+from qevents import mesoscopic
+
+from _helpers import reference_posterior_entropies, reference_sample_protocols
 
 LN2 = np.log(2.0)
 
@@ -165,6 +167,9 @@ class TestLazyOutcomes:
             with pytest.raises(ValueError, match="empty protocol"):
                 s.frequencies()
         assert "outcomes" not in s.__dict__
+        for i in sorted({0, count - 1, count // 2, -1, -count} if count else ()):
+            assert s.protocol(i) == tuple(int(x) for x in outcomes[i])
+        assert "outcomes" not in s.__dict__
         assert s.outcomes.dtype == np.int8
         np.testing.assert_array_equal(s.outcomes, outcomes)
         assert s.outcomes is s.outcomes
@@ -175,6 +180,23 @@ class TestLazyOutcomes:
         ents = posterior_entropies(m, exp.sample)
         assert ents.shape == (3000,)
         assert "outcomes" not in exp.sample.__dict__
+
+    def test_protocol_replays_one_row_or_reads_the_cache(self, monkeypatch):
+        for model in MODELS:
+            s = sample_protocols(model, 7, 23, seed=4, stream=1)
+            rows = [s.protocol(i) for i in range(-23, 23)]
+            assert "outcomes" not in s.__dict__
+            assert rows == [tuple(int(x) for x in s.outcomes[i]) for i in range(-23, 23)]
+            for i in (23, -24):
+                with pytest.raises(IndexError):
+                    s.protocol(i)
+
+            def refuse(*args):
+                raise AssertionError("replayed although the outcomes are cached")
+
+            monkeypatch.setattr(mesoscopic, "substream", refuse)
+            assert [s.protocol(i) for i in range(-23, 23)] == rows
+            monkeypatch.undo()
 
     def test_counts_are_read_only(self):
         s = sample_protocols(reference_model(), 8, 20, seed=1)
@@ -329,6 +351,20 @@ class TestPosterior:
         deterministic = DeFinettiModel(np.array([1.0]), np.array([1.0]))
         with pytest.raises(ValueError, match="zero-probability"):
             posterior(deterministic, (-1,))
+
+    @given(seed=st.integers(0, 2 ** 32), hypotheses=st.integers(1, 5),
+           n=st.integers(1, 1000), count=st.integers(1, 2000))
+    @settings(max_examples=100, deadline=None)
+    def test_entropies_per_distinct_count_equal_the_per_row_oracle(self, seed, hypotheses,
+                                                                  n, count):
+        gen = np.random.default_rng(seed)
+        p_plus = np.where(gen.random(hypotheses) < 0.2, gen.integers(0, 2, hypotheses),
+                          gen.random(hypotheses))
+        model = DeFinettiModel(gen.dirichlet(np.ones(hypotheses)), p_plus)
+        sample = sample_protocols(model, n, count, seed=seed)
+        with np.errstate(invalid="ignore"):     # 0 * log 0 of a click probability 0 or 1
+            ents = posterior_entropies(model, sample)
+            assert np.array_equal(ents, reference_posterior_entropies(model, sample))
 
     def test_batch_entropies_match_single_calls(self):
         m = reference_model()

@@ -372,3 +372,97 @@ class TestNonFiniteInput:
         with np.errstate(invalid="ignore"):
             assert outcome(frame_with, props)[0] is np.linalg.LinAlgError
             assert outcome(reference_unitarity_defect, U)[0] is np.linalg.LinAlgError
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def built_both_ways(build, diagonals):
+    """``outcome`` of ``build`` on the diagonals and on the same diagonal matrices."""
+    diags = [np.asarray(d, dtype=complex) for d in diagonals]
+    with np.errstate(invalid="ignore"):
+        return (outcome(build, diags), outcome(build, [np.diag(d) for d in diags]))
+
+
+def partition(projections):
+    return PartitionOfUnity(tuple(range(len(projections))), projections)
+
+
+def state(diagonals):
+    (d,) = diagonals
+    return DensityState(d)
+
+
+class TestDiagonalConstruction:
+    """Operators built from diagonals against the same diagonal matrices.
+
+    Both must reach the same verdict with the same message, and valid input
+    must give the same diagonals and the same dense matrices.
+    """
+
+    PARTITIONS = {
+        "valid": ([1, 0, 1, 0], [0, 1, 0, 1]),
+        "three outcomes": ([1, 0, 0], [0, 1, 0], [0, 0, 1]),
+        "an entry of 0.5": ([1, 0.5, 0, 0], [0, 0.5, 1, 1]),
+        "overlapping": ([1, 1, 0, 0], [0, 1, 1, 1]),
+        "incomplete": ([1, 0, 0, 0], [0, 1, 0, 0]),
+        "complex entry": ([1, 1e-6j, 0], [0, 1 - 1e-6j, 1]),
+        "complex entry below tol": ([1, 0.5e-9j, 0], [0, 1 - 0.5e-9j, 1]),
+        "nan": ([1, NAN, 0], [0, 1, 1]),
+        "inf": ([1, 0, INF], [0, 1, 1]),
+        "lengths differ": ([1, 0, 1], [0, 1, 0, 1]),
+    }
+
+    STATES = {
+        "valid": [0.2, 0.3, 0.5],
+        "nan": [0.5, NAN],
+        "inf": [INF, 0.5],
+        "complex entry": [0.3 + 1e-6j, 0.7],
+        "complex entry below tol": [0.3 + 0.5e-9j, 0.7],
+        "negative weight": [-0.1, 1.1],
+        "trace 1 + 1e-6": [0.3, 0.7 + 1e-6],
+    }
+
+    @pytest.mark.parametrize("case", PARTITIONS)
+    def test_partition_verdicts(self, case):
+        from_diagonals, from_matrices = built_both_ways(partition, self.PARTITIONS[case])
+        assert from_diagonals == from_matrices
+        assert (from_diagonals[0] is None) == case.startswith(("valid", "three", "complex entry below"))
+
+    @pytest.mark.parametrize("case", STATES)
+    def test_state_verdicts(self, case):
+        from_diagonal, from_matrix = built_both_ways(state, [self.STATES[case]])
+        assert from_diagonal == from_matrix
+        assert (from_diagonal[0] is None) == case.startswith(("valid", "complex entry below"))
+
+    @pytest.mark.parametrize("case", ["valid", "three outcomes", "complex entry below tol"])
+    def test_valid_partitions_agree(self, case):
+        diags = [np.asarray(d, dtype=complex) for d in self.PARTITIONS[case]]
+        lazy, dense = partition(diags), partition([np.diag(d) for d in diags])
+        assert "projections" not in vars(lazy) and lazy.dim == dense.dim
+        np.testing.assert_array_equal(lazy.diagonals, dense.diagonals)
+        np.testing.assert_array_equal(lazy.stack, dense.stack)
+        for P, Q in zip(lazy.projections, dense.projections):
+            np.testing.assert_array_equal(P, Q)
+
+    @pytest.mark.parametrize("case", ["valid", "complex entry below tol"])
+    def test_valid_states_agree(self, case):
+        d = np.asarray(self.STATES[case], dtype=complex)
+        lazy, dense = DensityState(d), DensityState(np.diag(d))
+        assert "matrix" not in vars(lazy) and lazy.dim == dense.dim
+        np.testing.assert_array_equal(lazy.diagonal, dense.diagonal)
+        np.testing.assert_array_equal(lazy.matrix, dense.matrix)
+        assert DensityState(dense.matrix, validate=False).diagonal is not None
+        assert random_density(rng(3), 3).diagonal is None
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 31 - 1), dim=st.integers(1, 6), blocks=st.integers(1, 4),
+           kind=st.sampled_from(("real", "imag", "nan", "inf")), scale=st.sampled_from(SCALES))
+    def test_perturbed_partitions_match(self, seed, dim, blocks, kind, scale):
+        gen = rng(seed)
+        diags = [np.diagonal(P).copy() for P in random_blocks(gen, dim, min(blocks, dim))]
+        i, k = int(gen.integers(dim)), int(gen.integers(len(diags)))
+        diags[k][i] += {"real": scale * DEFAULT_TOL, "imag": 1j * scale * DEFAULT_TOL,
+                        "nan": NAN, "inf": INF}[kind]
+        from_diagonals, from_matrices = built_both_ways(partition, diags)
+        assert from_diagonals == from_matrices
