@@ -28,8 +28,8 @@ from .errors import InvariantViolation
 from .events import HeisenbergFrame, _sample_paths, earliest_event, detect_event
 from .histories import MeasurementProtocol, consistency_check, lsw_probability
 from .mesoscopic import (CLASSIFICATION_EXPONENT, DECAY_EXPONENT, LN2,
-                         ClassificationBand, DeFinettiModel,
-                         born_rule_experiment, detection_time, log_band_mass,
+                         ClassificationBand, DeFinettiModel, _born_experiment,
+                         _log_band_masses, _sample_lengths, detection_time,
                          posterior_entropies, relative_entropy)
 from .operators import DensityState, PartitionOfUnity
 from .seeding import _stream_uniforms
@@ -422,13 +422,22 @@ def cmd_mesoscopic(cfg: dict, seed: int):
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from None
 
-    H = model.num_hypotheses
-    rows = []
+    bands = []
     for n in n_values:
         try:
-            exp = born_rule_experiment(model, n, count, seed=seed, exponent=cls_exp)
+            bands.append(ClassificationBand.from_schedule(n, cls_exp))
         except ValueError as exc:
             raise ConfigError(f"run.n_values: n={n} unusable ({exc})") from None
+    # every length counts a prefix of one click stream, drawn once
+    samples = (_sample_lengths(model, n_values, count, seed, 0) if count
+               else [None] * len(bands))
+
+    H = model.num_hypotheses
+    rows = []
+    for band, sample in zip(bands, samples):
+        n = band.n
+        exp = _born_experiment(model, band, sample)
+        log_cross = _log_band_masses(n, band.epsilon, model.p_plus, model.p_plus)
         entropy_by_nu: dict[int, float | None] = {nu: None for nu in range(H)}
         if count:
             ents = posterior_entropies(model, exp.sample)
@@ -438,10 +447,7 @@ def cmd_mesoscopic(cfg: dict, seed: int):
                     entropy_by_nu[nu] = float(ents[mask].mean())
         for nu in range(H):
             others = [j for j in range(H) if j != nu]
-            cross = max((math.exp(log_band_mass(n, exp.band.epsilon,
-                                                float(model.p_plus[nu]),
-                                                float(model.p_plus[j])))
-                         for j in others), default=None)
+            cross = max((math.exp(log_cross[nu][j]) for j in others), default=None)
             rows.append({
                 "n": n, "nu": nu, "epsilon": exp.band.epsilon, "count": count,
                 "empirical_mass": None if exp.empirical is None else exp.empirical[nu],

@@ -9,6 +9,15 @@ sharpening of the Bayesian posterior, certifies the exact large-deviation
 decay of cross-band mass, derives the induced detection time scale, and
 realizes the same statistics as a commuting diagonal model inside the
 operator stack.
+
+Sampling reads raw Philox words: a click is +1 when the word's top 53 bits
+fall below an integer threshold per hypothesis, which reproduces numpy's
+``random() < p`` exactly.  Protocols of every length n from one (seed,
+stream) read prefixes of one click stream, so several lengths are counted
+from a single chunked pass and only +1 counts are stored; the +1/-1 outcome
+matrix is materialized only when ``ProtocolSample.outcomes`` is read.  Band
+masses at one n share one table of lgamma terms and one log-pmf row per
+click probability.
 """
 
 from __future__ import annotations
@@ -87,21 +96,49 @@ def _lgamma(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.lgamma, x.tolist()), float, x.size)
 
 
-def _binom_logpmf(ks, n: int, p: float) -> np.ndarray:
-    """log of the binomial(n, p) mass at the integers ``ks`` in 0..n.
+def _binom_logpmf(ks, n: int, qs: Sequence[float]) -> np.ndarray:
+    """log of the binomial(n, q) masses at the integers ``ks`` in 0..n, a row per q.
 
-    lgamma(n+1) - (lgamma(k+1) + lgamma(n-k+1)) + k*log(p) + (n-k)*log1p(-p),
-    each product taken as 0 where its count is 0, so p = 0 and p = 1 give
-    exact point masses.  The lgamma terms are of size n*log(n) and cancel,
-    so the absolute error grows like n*log(n) ulps; ``_binom_pmf`` is the
-    accurate choice when the masses themselves are wanted.
+    lgamma(n+1) - (lgamma(k+1) + lgamma(n-k+1)) + k*log(q) + (n-k)*log1p(-q),
+    each product taken as 0 where its count is 0, so q = 0 and q = 1 give
+    exact point masses.  The lgamma terms depend on k alone, so one table
+    serves every q; every step is elementwise, so an entry is the same float
+    whatever other ks it is computed with.  The lgamma terms are of size
+    n*log(n) and cancel, so the absolute error grows like n*log(n) ulps;
+    ``_binom_pmf`` is the accurate choice when the masses themselves are
+    wanted.
     """
     ks = np.asarray(ks, dtype=float)
     rest = n - ks
     log_comb = math.lgamma(n + 1) - (_lgamma(ks + 1) + _lgamma(rest + 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tail = np.where(rest == 0.0, 0.0, rest * np.log1p(-p))
-    return log_comb + _xlogy(ks, p) + tail
+    rows = np.empty((len(qs), ks.size))
+    for row, q in zip(rows, map(float, qs)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tail = np.where(rest == 0.0, 0.0, rest * np.log1p(-q))
+        row[:] = log_comb + _xlogy(ks, q) + tail
+    return rows
+
+
+def _log_band_masses(n: int, epsilon: float, centers: Sequence[float],
+                     qs: Sequence[float]) -> list[list[float]]:
+    """``[i][j]`` is ``log_band_mass(n, epsilon, centers[i], qs[j])``.
+
+    The log-pmf rows are computed once per q, at the counts some band holds,
+    and each band takes a masked ``_logsumexp`` of them.
+    """
+    freqs = np.arange(n + 1) / n
+    masks = np.abs(freqs - np.asarray(centers, dtype=float)[:, None]) < epsilon
+    held = masks.any(axis=0)
+    rows = _binom_logpmf(np.flatnonzero(held), n, qs)
+    out = []
+    for mask in masks[:, held]:
+        if not mask.any():
+            out.append([-math.inf] * len(qs))
+        else:
+            # clamped at 0: rounding can push a band that holds all the mass above it
+            band = np.ascontiguousarray(rows[:, mask])     # rows[:, mask] is F-ordered
+            out.append([min(float(v), 0.0) for v in _logsumexp(band)])
+    return out
 
 
 def _binom_pmf(n: int, p: float) -> np.ndarray:
@@ -212,6 +249,45 @@ class ClassificationBand:
         return cls(int(n), float(n) ** (-exponent))
 
 
+#: raw Philox words drawn at a time by the click pass; bounds its temporaries
+_CHUNK_WORDS = 1 << 15
+
+
+def _click_thresholds(model: DeFinettiModel) -> np.ndarray:
+    """Per-hypothesis integer thresholds t: a click is +1 when (x >> 11) < t.
+
+    numpy turns a raw Philox word x into the double (x >> 11) * 2**-53, so
+    the float test ``u < p`` holds exactly when the 53-bit integer x >> 11
+    is below ceil(p * 2**53); scaling by 2**53 is exact, and for p = 1 the
+    threshold 2**53 passes every word.
+    """
+    return np.ceil(model.p_plus * 2.0 ** 53).astype(np.uint64)
+
+
+def _click_chunks(rng: np.random.Generator, words: int):
+    """``(start, x >> 11)`` for the next ``words`` raw words of ``rng``, in chunks."""
+    for start in range(0, words, _CHUNK_WORDS):
+        chunk = rng.bit_generator.random_raw(min(_CHUNK_WORDS, words - start))
+        yield start, np.right_shift(chunk, np.uint64(11), out=chunk)
+
+
+def _row_clicks(chunk: np.ndarray, start: int, n: int,
+                row_thresholds: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """The +1 clicks of a chunk of the click stream that starts at word ``start``.
+
+    Row i of length n holds words i*n .. (i+1)*n - 1, and its clicks are
+    tested against ``row_thresholds[i]``.  Returns the first row the chunk
+    touches, the chunk offsets where its rows begin (0 for a row cut by the
+    chunk edge) and the boolean clicks.
+    """
+    first, last = start // n, (start + chunk.size - 1) // n
+    bounds = np.arange(first * n, (last + 2) * n, n) - start
+    bounds[0], bounds[-1] = 0, chunk.size
+    offsets = bounds[:-1]
+    thresholds = np.repeat(row_thresholds[first:last + 1], bounds[1:] - offsets)
+    return first, offsets, chunk < thresholds
+
+
 @dataclass(frozen=True, eq=False)
 class ProtocolSample:
     """Batch of sampled protocols: +1 counts and latent labels of length-n protocols.
@@ -219,7 +295,10 @@ class ProtocolSample:
     ``plus[i]`` counts the +1 clicks of protocol i and ``latent[i]`` is its
     hypothesis.  The (count, n) matrix of +1/-1 outcomes is not stored:
     ``outcomes`` replays the draw of ``sample_protocols`` from the kept
-    model, seed and stream on first use.
+    model, seed and stream on first use and materializes count * n int8
+    entries; ``protocol(i)`` replays row i alone, n words, unless the
+    matrix is already cached.  Both apply the sampler's integer-threshold
+    rule to the raw Philox words, so they agree with ``plus`` bit for bit.
     """
 
     plus: np.ndarray
@@ -247,32 +326,40 @@ class ProtocolSample:
     def count(self) -> int:
         return self.latent.shape[0]
 
+    def _click_stream(self, skip: int) -> np.random.Generator:
+        """The sample's generator, ``skip`` words into the click stream.
+
+        The latent labels took ``count`` words.  Philox yields four words a
+        counter step: ``advance`` skips whole steps and the remainder is
+        drawn and dropped.
+        """
+        rng = substream(self.seed, self.stream)
+        skip += self.count
+        rng.bit_generator.advance(skip // 4)
+        rng.bit_generator.random_raw(skip % 4)
+        return rng
+
     @cached_property
     def outcomes(self) -> np.ndarray:
         """(count, n) int8 matrix of +1/-1 outcomes, replayed on first use."""
-        out = np.empty((self.count, self.n), dtype=np.int8)
-        _, chunks = _draw_clicks(self.model, self.n, self.count, self.seed, self.stream)
-        for rows, clicks in chunks:
-            out[rows] = np.where(clicks, 1, -1)
-        return out
+        out = np.empty(self.count * self.n, dtype=np.int8)
+        thresholds = _click_thresholds(self.model)[self.latent]
+        for start, chunk in _click_chunks(self._click_stream(0), out.size):
+            _, _, clicks = _row_clicks(chunk, start, self.n, thresholds)
+            out[start:start + chunk.size] = np.where(clicks, 1, -1)
+        return out.reshape(self.count, self.n)
 
     def protocol(self, i: int) -> tuple[int, ...]:
         """The +1/-1 outcomes of protocol i (negative i counts from the end).
 
-        Reads ``outcomes`` when it is cached; otherwise replays row i alone.
-        ``_draw_clicks`` draws one double per latent label, then the rows in
-        order, n doubles each, so row i starts count + i * n doubles into the
-        stream.  Philox yields four doubles a counter step: ``advance``
-        skips whole steps and the remainder is drawn and dropped.
+        Reads ``outcomes`` when it is cached; otherwise replays the n words
+        of row i alone.
         """
         i = range(self.count)[i]                 # IndexError out of range
         if "outcomes" in self.__dict__:
             return tuple(int(x) for x in self.outcomes[i])
-        rng = substream(self.seed, self.stream)
-        skip = self.count + i * self.n
-        rng.bit_generator.advance(skip // 4)
-        rng.random(skip % 4)
-        clicks = rng.random(self.n) < self.model.p_plus[self.latent[i]]
+        words = self._click_stream(i * self.n).bit_generator.random_raw(self.n)
+        clicks = (words >> np.uint64(11)) < _click_thresholds(self.model)[self.latent[i]]
         return tuple(1 if c else -1 for c in clicks.tolist())
 
     def plus_counts(self) -> np.ndarray:
@@ -285,26 +372,31 @@ class ProtocolSample:
         return self.plus / self.n
 
 
-def _draw_clicks(model: DeFinettiModel, n: int, count: int, seed, stream):
-    """The draw of ``sample_protocols``: latent labels, then chunks of clicks.
+def _sample_lengths(model: DeFinettiModel, ns: Sequence[int], count: int,
+                    seed, stream) -> list[ProtocolSample]:
+    """One ``ProtocolSample`` per length in ``ns``, all counted from one pass.
 
-    Returns the labels and an iterator of ``(rows, clicks)``, where
-    ``clicks`` is the boolean block of +1 outcomes of the protocols in the
-    slice ``rows``.  Chunking bounds the transient uniform-draw buffer, with a
-    layout that depends only on n.
+    The stream holds ``count`` words for the latent labels (``rng.choice``),
+    then the click stream: protocol i of length n reads click words
+    i*n .. (i+1)*n - 1.  Every length reads a prefix of the same click
+    stream, so count * max(ns) words are drawn once, in chunks of
+    ``_CHUNK_WORDS``, and each length counts the chunk's part of its prefix;
+    a protocol cut by a chunk edge adds up its two partial counts.
     """
     rng = substream(seed, stream)
     w = model.weights / model.weights.sum()
     latent = rng.choice(model.num_hypotheses, size=count, p=w)
-    step = max(1, int(4_000_000 // max(n, 1)))
-
-    def chunks():
-        for start in range(0, count, step):
-            rows = slice(start, min(start + step, count))
-            u = rng.random((rows.stop - start, n))
-            yield rows, u < model.p_plus[latent[rows]][:, None]
-
-    return latent, chunks()
+    thresholds = _click_thresholds(model)[latent]
+    plus = [np.zeros(count, dtype=np.int64) for _ in ns]
+    for start, chunk in _click_chunks(rng, count * max(ns, default=0)):
+        for n, counts in zip(ns, plus):
+            if start < count * n:
+                first, offsets, clicks = _row_clicks(chunk[:count * n - start], start,
+                                                     n, thresholds)
+                counts[first:first + offsets.size] += np.add.reduceat(clicks, offsets,
+                                                                      dtype=np.int64)
+    latent = latent.astype(np.int64)
+    return [ProtocolSample(k, latent, n, model, seed, stream) for n, k in zip(ns, plus)]
 
 
 def sample_protocols(model: DeFinettiModel, n: int, count: int,
@@ -312,18 +404,20 @@ def sample_protocols(model: DeFinettiModel, n: int, count: int,
     """Draw ``count`` protocols of length ``n``: latent nu ~ prior, clicks i.i.d.
 
     Exchangeability holds by construction, and output is deterministic per
-    (seed, stream).  Only the +1 counts are kept; the outcome matrix is
+    (seed, stream).  The draw is ``count`` latent labels, then the click
+    stream, n words a protocol; click j of protocol i is +1 when raw word
+    count + i*n + j, shifted right by 11, is below ceil(p * 2**53) for its
+    hypothesis' p, which is exactly numpy's ``random() < p``.  A shorter n
+    from the same (seed, stream) therefore reads a prefix of the same
+    stream, and the CLI counts all its lengths from one pass.  Only the +1
+    counts are kept, with memory independent of n; the outcome matrix is
     replayed from (seed, stream) when ``ProtocolSample.outcomes`` is read.
     """
     n = int(n)
     count = int(count)
     if n < 0 or count < 0:
         raise ValueError("n and count must be nonnegative")
-    latent, chunks = _draw_clicks(model, n, count, seed, stream)
-    plus = np.empty(count, dtype=np.int64)
-    for rows, clicks in chunks:
-        plus[rows] = np.count_nonzero(clicks, axis=1)
-    return ProtocolSample(plus, latent.astype(np.int64), n, model, seed, stream)
+    return _sample_lengths(model, [n], count, seed, stream)[0]
 
 
 def _as_outcome_array(protocol) -> np.ndarray:
@@ -332,7 +426,7 @@ def _as_outcome_array(protocol) -> np.ndarray:
         arr = arr.reshape(1)
     if arr.ndim != 1:
         raise ValueError("a protocol is a 1-D sequence of +1/-1 outcomes")
-    if arr.size and not np.isin(arr, (-1, 1)).all():
+    if arr.size and not ((arr == 1) | (arr == -1)).all():
         raise ValueError("protocol outcomes must be +1 or -1")
     return arr.astype(np.int64)
 
@@ -372,9 +466,6 @@ def _overlap_message(model: DeFinettiModel, band: ClassificationBand) -> str | N
 
 def _band_matches(freqs: np.ndarray, model: DeFinettiModel,
                   band: ClassificationBand) -> np.ndarray:
-    msg = _overlap_message(model, band)
-    if msg:
-        warnings.warn(msg, stacklevel=3)
     return np.abs(freqs[:, None] - model.p_plus[None, :]) < band.epsilon
 
 
@@ -387,6 +478,9 @@ def classify_frequencies(freqs, model: DeFinettiModel,
     unclassified.
     """
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
+    msg = _overlap_message(model, band)
+    if msg:
+        warnings.warn(msg, stacklevel=2)
     matches = _band_matches(freqs, model, band)
     hits = matches.sum(axis=1)
     return np.where(hits == 1, matches.argmax(axis=1), -1).astype(np.int64)
@@ -437,38 +531,42 @@ def born_rule_experiment(model: DeFinettiModel, n: int, count: int,
     and the classified fraction (coverage) converges to 1; at small n the
     exact columns quantify how far short the bands fall.
     """
-    n = int(n)
-    band = ClassificationBand.from_schedule(n, exponent)
-    H = model.num_hypotheses
+    band = ClassificationBand.from_schedule(int(n), exponent)
+    sample = sample_protocols(model, band.n, count, seed) if count else None
+    return _born_experiment(model, band, sample)
+
+
+def _born_experiment(model: DeFinettiModel, band: ClassificationBand,
+                     sample: ProtocolSample | None) -> BornExperiment:
+    """``born_rule_experiment`` of a drawn sample (None: exact columns only).
+
+    A protocol's label depends only on its +1 count, so the n+1 grid points
+    are classified once and the sampled fractions are read off the count
+    table ``np.bincount(sample.plus)``.
+    """
+    n = band.n
     msg = _overlap_message(model, band)
     if msg:
-        warnings.warn(msg, stacklevel=2)
+        warnings.warn(msg, stacklevel=3)
 
-    ks = np.arange(n + 1)
-    fgrid = ks / n
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        matches = _band_matches(fgrid, model, band)        # (n+1, H)
+    matches = _band_matches(np.arange(n + 1) / n, model, band)     # (n+1, H)
     hits = matches.sum(axis=1)
-    unique = hits == 1
+    labels = np.where(hits == 1, matches.argmax(axis=1), -1)
     pmf = np.stack([_binom_pmf(n, p) for p in model.p_plus])     # (H, n+1)
     mixture_pmf = model.weights @ pmf                             # (n+1,)
-    exact_mass = {nu: float(mixture_pmf @ (matches[:, nu] & unique))
-                  for nu in range(H)}
-    exact_coverage = float(mixture_pmf @ unique)
+    H = model.num_hypotheses
+    exact_mass = {nu: float(mixture_pmf @ (labels == nu)) for nu in range(H)}
+    exact_coverage = float(mixture_pmf @ (labels >= 0))
     exact_ambiguous = float(mixture_pmf @ (hits > 1))
-
-    if count == 0:
+    if sample is None:
         return BornExperiment(band, 0, None, None, None,
                               exact_mass, exact_coverage, exact_ambiguous, None)
 
-    sample = sample_protocols(model, n, count, seed)
-    m = matches[sample.plus]              # plus / n is the grid point ks[plus] / n
-    h = m.sum(axis=1)
-    labels = np.where(h == 1, m.argmax(axis=1), -1)
-    empirical = {nu: float((labels == nu).mean()) for nu in range(H)}
-    coverage = float((labels >= 0).mean())
-    ambiguous = float((h > 1).mean())
+    count = sample.count
+    at = np.bincount(sample.plus, minlength=n + 1)     # protocols per +1 count
+    empirical = {nu: float(at[labels == nu].sum() / count) for nu in range(H)}
+    coverage = float(at[labels >= 0].sum() / count)
+    ambiguous = float(at[hits > 1].sum() / count)
     return BornExperiment(band, count, empirical, coverage, ambiguous,
                           exact_mass, exact_coverage, exact_ambiguous, sample)
 
@@ -487,6 +585,11 @@ def _log_posterior_rows(model: DeFinettiModel, plus_counts: np.ndarray,
     return log_prior + _xlogy(ks, model.p_plus) + _xlogy(ms, model.p_minus)
 
 
+def _xlog_weights(w: np.ndarray, log_w: np.ndarray) -> np.ndarray:
+    """w * log_w, taken as 0 where w is 0 (where log_w may be -inf)."""
+    return np.multiply(w, log_w, out=np.zeros_like(w), where=w > 0)
+
+
 def posterior(model: DeFinettiModel, protocol) -> Posterior:
     """Bayes posterior over the latent label given a protocol, with entropy in bits.
 
@@ -501,7 +604,7 @@ def posterior(model: DeFinettiModel, protocol) -> Posterior:
         raise ValueError("zero-probability protocol has no posterior")
     norm = lw - total
     w = np.exp(norm)
-    entropy = float(-np.where(w > 0, w * norm, 0.0).sum() / LN2)
+    entropy = float(-_xlog_weights(w, norm).sum() / LN2)
     return Posterior({nu: float(w[nu]) for nu in range(w.size)}, entropy)
 
 
@@ -509,16 +612,21 @@ def posterior_entropies(model: DeFinettiModel, sample: ProtocolSample) -> np.nda
     """Posterior entropy in bits for every protocol of a sample, vectorized.
 
     The posterior depends on a protocol only through its +1 count, so the
-    entropies are computed once per distinct count and then spread out.
+    entropies are computed once per distinct count, found by ``bincount``,
+    and then read off a table indexed by count.
     """
-    counts, inverse = np.unique(sample.plus_counts(), return_inverse=True)
+    plus = sample.plus_counts()
+    seen = np.bincount(plus)
+    counts = np.flatnonzero(seen)
     lw = _log_posterior_rows(model, counts, sample.n)
     totals = _logsumexp(lw)
     if not np.isfinite(totals).all():
         raise ValueError("zero-probability protocol has no posterior")
     norm = lw - totals[:, None]
     w = np.exp(norm)
-    return (-np.where(w > 0, w * norm, 0.0).sum(axis=1) / LN2)[inverse]
+    table = np.zeros(seen.size)
+    table[counts] = -_xlog_weights(w, norm).sum(axis=1) / LN2
+    return table[plus]
 
 
 def relative_entropy(model: DeFinettiModel, nu1: int, nu2: int) -> float:
@@ -550,11 +658,7 @@ def log_band_mass(n: int, epsilon: float, center: float, q: float) -> float:
 
     Clamped at 0: rounding can push a band that holds all the mass just above it.
     """
-    ks = np.arange(n + 1)
-    mask = np.abs(ks / n - center) < epsilon
-    if not mask.any():
-        return -math.inf
-    return min(float(_logsumexp(_binom_logpmf(ks[mask], n, q))), 0.0)
+    return _log_band_masses(n, epsilon, [center], [q])[0][0]
 
 
 @dataclass(frozen=True)
@@ -686,9 +790,8 @@ def detection_time(model: DeFinettiModel, threshold: float = math.exp(-1.0),
     n_star = n_star_eps = n_star_mass = None
     for n in range(1, max_n + 1):
         eps = min(float(n) ** (-exponent), ceiling)
-        worst = max(math.exp(log_band_mass(n, eps, float(model.p_plus[i]),
-                                            float(model.p_plus[j])))
-                    for i, j, _ in pairs)
+        log_masses = _log_band_masses(n, eps, model.p_plus, model.p_plus)
+        worst = max(math.exp(log_masses[i][j]) for i, j, _ in pairs)
         if worst <= threshold:
             n_star, n_star_eps, n_star_mass = n, eps, worst
             break

@@ -4,6 +4,7 @@ Everything is driven by explicit ``numpy`` Generators so failures
 reproduce; tests derive their generator from a frozen seed.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from qevents import (DEFAULT_TOL, DEGENERACY_TOL, RANK_RCOND, SPAN_TOL, BranchRe
                      substream)
 from qevents.events import _ambient, _detect, _resolve_policy, _sample_paths
 from qevents.histories import enumerate_protocols, lsw_probability
-from qevents.mesoscopic import _log_posterior_rows, _logsumexp
+from qevents.mesoscopic import _lgamma, _log_posterior_rows, _logsumexp, _xlogy
 
 
 def rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -413,6 +414,28 @@ def reference_sampler_vs_measure(frame, initial, steps, samples, seed=0) -> floa
     return 0.5 * tv
 
 
+def draw_clicks(model, n: int, count: int, seed, stream):
+    """The float form of ``sample_protocols``' draw: latent labels, then chunks of clicks.
+
+    Returns the labels and an iterator of ``(rows, clicks)``, where
+    ``clicks`` is the boolean block ``random() < p`` of the protocols in the
+    slice ``rows``.  The test oracle for the integer-threshold click pass,
+    which compares raw Philox words with per-hypothesis thresholds instead.
+    """
+    gen = substream(seed, stream)
+    w = model.weights / model.weights.sum()
+    latent = gen.choice(model.num_hypotheses, size=count, p=w)
+    step = max(1, int(4_000_000 // max(n, 1)))
+
+    def chunks():
+        for start in range(0, count, step):
+            rows = slice(start, min(start + step, count))
+            u = gen.random((rows.stop - start, n))
+            yield rows, u < model.p_plus[latent[rows]][:, None]
+
+    return latent, chunks()
+
+
 def reference_sample_protocols(model, n: int, count: int, seed=0, stream=0):
     """``(outcomes, latent)`` of ``sample_protocols``, built eagerly as an int8 matrix.
 
@@ -420,16 +443,10 @@ def reference_sample_protocols(model, n: int, count: int, seed=0, stream=0):
     counts and replays ``ProtocolSample.outcomes`` on demand.
     """
     n, count = int(n), int(count)
-    gen = substream(seed, stream)
-    w = model.weights / model.weights.sum()
-    latent = gen.choice(model.num_hypotheses, size=count, p=w)
+    latent, chunks = draw_clicks(model, n, count, seed, stream)
     outcomes = np.empty((count, n), dtype=np.int8)
-    rows = max(1, int(4_000_000 // max(n, 1)))
-    for start in range(0, count, rows):
-        stop = min(start + rows, count)
-        u = gen.random((stop - start, n))
-        thresholds = model.p_plus[latent[start:stop]][:, None]
-        outcomes[start:stop] = np.where(u < thresholds, 1, -1)
+    for rows, clicks in chunks:
+        outcomes[rows] = np.where(clicks, 1, -1)
     return outcomes, latent.astype(np.int64)
 
 
@@ -445,7 +462,36 @@ def reference_posterior_entropies(model, sample) -> np.ndarray:
         raise ValueError("zero-probability protocol has no posterior")
     norm = lw - totals[:, None]
     w = np.exp(norm)
-    return -np.where(w > 0, w * norm, 0.0).sum(axis=1) / np.log(2.0)
+    terms = np.zeros_like(w)
+    terms[w > 0] = w[w > 0] * norm[w > 0]
+    return -terms.sum(axis=1) / np.log(2.0)
+
+
+def reference_binom_logpmf(ks, n: int, p: float) -> np.ndarray:
+    """log of the binomial(n, p) mass at the integers ``ks``, for one p.
+
+    The per-call form of ``mesoscopic._binom_logpmf``, which shares the
+    lgamma terms across a row per click probability.
+    """
+    ks = np.asarray(ks, dtype=float)
+    rest = n - ks
+    log_comb = math.lgamma(n + 1) - (_lgamma(ks + 1) + _lgamma(rest + 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = np.where(rest == 0.0, 0.0, rest * np.log1p(-p))
+    return log_comb + _xlogy(ks, p) + tail
+
+
+def reference_log_band_mass(n: int, epsilon: float, center: float, q: float) -> float:
+    """``log_band_mass`` from a log-pmf computed on the band alone.
+
+    The test oracle for ``mesoscopic._log_band_masses``, which computes one
+    row per q and masks it once per band.
+    """
+    ks = np.arange(n + 1)
+    mask = np.abs(ks / n - center) < epsilon
+    if not mask.any():
+        return -math.inf
+    return min(float(_logsumexp(reference_binom_logpmf(ks[mask], n, q))), 0.0)
 
 
 def reference_outcome_tree(frame, initial, steps: int) -> tuple[dict, float]:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +292,23 @@ class TestMesoscopicGolden:
         cfg = str(CONFIGS / "mixture_reference.json")
         assert cli.main(["mesoscopic", "--config", cfg]) == 0
         assert json.loads(capsys.readouterr().out)["count"] == 20000
+
+    @pytest.mark.filterwarnings("ignore:band half-width")
+    def test_reference_run_draws_in_bounded_memory(self):
+        # count 20000 and n up to 500: 10**7 click words, drawn in chunks
+        cfg = json.loads((CONFIGS / "mixture_reference.json").read_text())
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cli.cmd_mesoscopic(cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MB"
 
 
 class TestLsw:

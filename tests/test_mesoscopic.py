@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,12 +14,14 @@ from qevents import (ClassificationBand, DeFinettiModel, born_rule_experiment,
                      lsw_probability, posterior, posterior_entropies,
                      relative_entropy, sample_protocols, sanov_check)
 from qevents.histories import MeasurementProtocol
-from qevents.mesoscopic import (_binom_logpmf, _binom_pmf, _logsumexp, _xlogy,
+from qevents.mesoscopic import (_CHUNK_WORDS, _binom_logpmf, _binom_pmf, _click_thresholds,
+                                 _log_band_masses, _logsumexp, _sample_lengths, _xlogy,
                                  log_band_mass)
 
 from qevents import mesoscopic
 
-from _helpers import reference_posterior_entropies, reference_sample_protocols
+from _helpers import (reference_log_band_mass, reference_posterior_entropies,
+                      reference_sample_protocols)
 
 LN2 = np.log(2.0)
 
@@ -204,6 +209,51 @@ class TestLazyOutcomes:
             s.plus_counts()[0] = 3
 
 
+# click probabilities at the edges of the integer-threshold rule, and any other
+EDGE_P = st.one_of(st.sampled_from([0.0, 1.0, 2.0 ** -53, 1.0 - 2.0 ** -53, 0.5]),
+                   st.floats(0.0, 1.0))
+
+
+def uniform_model(ps):
+    return DeFinettiModel(np.full(len(ps), 1.0 / len(ps)), np.array(ps, dtype=float))
+
+
+class TestClickPass:
+    """The integer-threshold, one-pass click counter against the float draw."""
+
+    @given(p=EDGE_P, low=st.integers(0, 2 ** 11 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_threshold_is_the_float_comparison_at_its_edge(self, p, low):
+        t = int(_click_thresholds(uniform_model([p]))[0])
+        for m in {max(t - 1, 0), min(t, 2 ** 53 - 1)}:
+            x = np.array([(m << 11) | low], dtype=np.uint64)
+            mantissa = x >> np.uint64(11)
+            assert bool(mantissa[0] < t) == bool(mantissa[0] * 2.0 ** -53 < p)
+
+    @given(ps=st.lists(EDGE_P, min_size=1, max_size=4),
+           ns=st.lists(st.integers(0, 40), min_size=1, max_size=4),
+           count=st.integers(0, 60), seed=st.integers(0, 2 ** 64 - 1),
+           stream=st.integers(0, 3))
+    # several chunks, n not dividing the chunk: rows cut by chunk edges
+    @example(ps=[0.3, 0.7], ns=[1000, 7, 1000, 999], count=100, seed=5, stream=0)
+    # rows longer than a chunk, next to a length that fits many times
+    @example(ps=[0.5, 1.0 - 2.0 ** -53, 2.0 ** -53], ns=[3, _CHUNK_WORDS + 3], count=5,
+             seed=1, stream=2)
+    @example(ps=[0.25], ns=[0, 5], count=0, seed=0, stream=0)
+    @settings(max_examples=60, deadline=None)
+    def test_one_pass_equals_the_float_draw_of_each_length(self, ps, ns, count, seed, stream):
+        model = uniform_model(ps)
+        samples = _sample_lengths(model, ns, count, seed, stream)
+        assert [s.n for s in samples] == ns
+        for n, s in zip(ns, samples):
+            outcomes, latent = reference_sample_protocols(model, n, count, seed, stream)
+            np.testing.assert_array_equal(s.latent, latent)
+            np.testing.assert_array_equal(s.plus_counts(), (outcomes == 1).sum(axis=1))
+            for i in sorted({0, count // 2, -1, -count} if count else ()):
+                assert s.protocol(i) == tuple(int(x) for x in outcomes[i])
+            np.testing.assert_array_equal(s.outcomes, outcomes)
+
+
 class TestExactProbabilities:
     def test_frozen_values(self):
         m = reference_model()
@@ -239,6 +289,22 @@ class TestExactProbabilities:
     def test_rejects_labels_other_than_signs(self):
         with pytest.raises(ValueError):
             exact_protocol_probability(reference_model(), (1, 0))
+
+    @pytest.mark.parametrize("protocol", [np.array(["1", "-1"]), np.array(["+", "-"]),
+                                          np.array([1, None, -1], dtype=object)])
+    def test_rejects_string_and_object_arrays(self, protocol):
+        for call in (lambda: exact_protocol_probability(reference_model(), protocol),
+                     lambda: frequency(protocol, 1),
+                     lambda: posterior(reference_model(), protocol),
+                     lambda: classify(protocol, reference_model(),
+                                      ClassificationBand(protocol.size, 0.1))):
+            with pytest.raises(ValueError, match="must be \\+1 or -1"):
+                call()
+
+    def test_accepts_an_object_array_of_signs(self):
+        m = reference_model()
+        word = np.array([1, -1, 1.0], dtype=object)
+        assert exact_protocol_probability(m, word) == exact_protocol_probability(m, (1, -1, 1))
 
 
 class TestClassification:
@@ -362,9 +428,19 @@ class TestPosterior:
                           gen.random(hypotheses))
         model = DeFinettiModel(gen.dirichlet(np.ones(hypotheses)), p_plus)
         sample = sample_protocols(model, n, count, seed=seed)
-        with np.errstate(invalid="ignore"):     # 0 * log 0 of a click probability 0 or 1
+        ents = posterior_entropies(model, sample)
+        assert np.array_equal(ents, reference_posterior_entropies(model, sample))
+
+    def test_ruled_out_hypotheses_raise_no_warning(self):
+        # a count that rules out the p = 0 source gives it log-weight -inf and weight 0
+        model = DeFinettiModel(np.array([0.5, 0.5]), np.array([0.0, 0.6]))
+        sample = sample_protocols(model, 10, 50, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             ents = posterior_entropies(model, sample)
-            assert np.array_equal(ents, reference_posterior_entropies(model, sample))
+            post = posterior(model, [1, 1, -1])
+        assert np.array_equal(ents, reference_posterior_entropies(model, sample))
+        assert post.weights == {0: 0.0, 1: 1.0} and post.entropy_bits == 0.0
 
     def test_batch_entropies_match_single_calls(self):
         m = reference_model()
@@ -451,7 +527,7 @@ class TestNumpyKernels:
     def test_binom_logpmf(self, case):
         n, p = case
         ks = np.unique(np.linspace(0, n, 201).round())
-        ours, ref = _binom_logpmf(ks, n, p), binom.logpmf(ks, n, p)
+        ours, ref = _binom_logpmf(ks, n, [p])[0], binom.logpmf(ks, n, p)
         np.testing.assert_array_equal(np.isneginf(ours), np.isneginf(ref))
         np.testing.assert_allclose(ours, ref, rtol=1e-13, atol=1e-13 * n)
 
@@ -511,6 +587,44 @@ class TestNumpyKernels:
             assert ours == -np.inf
         else:
             assert ours == pytest.approx(min(ref, 0.0), rel=1e-13, abs=1e-13 * n)
+
+
+class TestBandMassKernel:
+    """The shared log-pmf rows give the very floats of a log-pmf per band and q."""
+
+    @given(n=st.integers(1, 2000), eps=st.floats(1e-3, 1.0),
+           ps=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                       min_size=1, max_size=4))
+    @example(n=2000, eps=0.5, ps=[0.0, 1.0, 0.3])
+    @example(n=1, eps=0.999, ps=[0.0, 1.0])
+    @settings(max_examples=100, deadline=None)
+    def test_cross_masses_equal_per_call_masses(self, n, eps, ps):
+        # the CLI's cross masses and detection_time's scan read this table
+        table = _log_band_masses(n, eps, ps, ps)
+        for i, center in enumerate(ps):
+            assert log_band_mass(n, eps, center, ps[-1]) == \
+                reference_log_band_mass(n, eps, center, ps[-1])
+            for j, q_ in enumerate(ps):
+                assert table[i][j] == reference_log_band_mass(n, eps, center, q_)
+
+    @pytest.mark.parametrize("threshold", [np.exp(-1.0), 1e-3, 1e-9])
+    def test_detection_scan_equals_per_call_masses(self, threshold):
+        m = DeFinettiModel(np.array([0.2, 0.3, 0.5]), np.array([0.9, 0.55, 0.1]))
+        dt = detection_time(m, threshold=threshold)
+        ceiling = np.nextafter(m.kappa / 2.0, 0.0)
+        ps = [float(p) for p in m.p_plus]
+        for n in range(1, dt.n_star + 1):
+            eps = min(float(n) ** (-mesoscopic.DECAY_EXPONENT), ceiling)
+            worst = max(math.exp(reference_log_band_mass(n, eps, ps[i], ps[j]))
+                        for i in range(3) for j in range(3) if i != j)
+            assert (worst <= threshold) == (n == dt.n_star)
+        assert (dt.n_star_epsilon, dt.n_star_mass) == (eps, worst)
+
+    def test_sanov_rows_equal_per_call_masses(self):
+        m = reference_model()
+        rep = sanov_check(m, 1, 0, [22, 50, 400, 1999, 20_000])
+        for r in rep.rows:
+            assert r.log_mass == reference_log_band_mass(r.n, r.epsilon, 0.3, 0.8)
 
 
 class TestSanov:
