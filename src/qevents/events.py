@@ -20,7 +20,8 @@ import numpy as np
 
 from .algebras import (FiniteAlgebra, SPAN_TOL, _inclusion_residual, contains,
                        full_matrix_algebra)
-from .centralizers import CentralizerReport, centralizer, expect_onto_center
+from .centralizers import (CentralizerReport, _factor_center_distance, centralizer,
+                           expect_onto_center)
 from .errors import InadmissibleThresholdError, InvariantViolation
 from .operators import (DEFAULT_TOL, DensityState, PartitionOfUnity, _checked_norm,
                         _unitarity_defect, as_operator, operator_norm)
@@ -289,10 +290,13 @@ def _detect(state: DensityState, partition: PartitionOfUnity, time: float,
         if not ok:
             raise InvariantViolation(
                 f"partition not inside the restriction algebra at time {time}: residual {r:.3e}")
-    distance = 0.0
-    for P in partition.projections:
-        ce = expect_onto_center(restriction, state, P, report=report, check_ambient=False)
-        distance = max(distance, operator_norm(ce - P))
+    if len(restriction.minimal_central_projections) == 1:
+        distance = _factor_center_distance(report, state, partition.stack)
+    else:
+        distance = 0.0
+        for P in partition.projections:
+            ce = expect_onto_center(restriction, state, P, report=report, check_ambient=False)
+            distance = max(distance, operator_norm(ce - P))
     gap = _weight_gap(state, partition)
     admissible = partition.size >= 2 and gap > tol
     if admissible:

@@ -15,7 +15,6 @@ constructions reach a few thousand dimensions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -170,41 +169,70 @@ def conjugate(A: np.ndarray, U: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndar
     return adjoint(U) @ A @ U
 
 
-@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenvalue clusters of a Hermitian operator with their eigenprojections.
 
     ``eigenvalues`` is strictly increasing; ``projections[j]`` is the
-    orthogonal projection onto the eigenspace of ``eigenvalues[j]``.  The
-    family is validated to be idempotent, mutually orthogonal and complete,
-    and to reconstruct the operator it came from when one is supplied.
+    orthogonal projection onto the eigenspace of ``eigenvalues[j]``.  A
+    decomposition is checked once, in one of two ways:
+
+    - ``spectral_decompose`` keeps eigh's orthonormal columns ``vectors``,
+      cluster j owning columns ``starts[j]`` up to the next start, and
+      builds ``projections[j] = V_j V_j*`` on first read (a
+      ``cached_property``).  It checks the Gram residual ||V*V - 1|| <=
+      ``DEFAULT_TOL``, which bounds every defect the pairwise check
+      measures (Hermiticity, idempotence, orthogonality, completeness) by
+      DEFAULT_TOL (1 + DEFAULT_TOL), and the reconstruction residual
+      ||V diag(w) V* - X|| <= tol max(1, ||X||) for eigh's unclustered
+      eigenvalues w.  Each is one d^3 product, whatever the cluster count.
+    - ``SpectralDecomposition(eigenvalues, projections)`` takes a
+      user-supplied family and checks it with ``validate_projection_family``
+      (Hermiticity, idempotence, pairwise orthogonality, completeness).  It
+      has no ``vectors`` or ``starts`` (both None) and no reconstruction
+      check, since no operator is supplied.
     """
 
-    eigenvalues: tuple[float, ...]
-    projections: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if len(self.eigenvalues) != len(self.projections):
+    def __init__(self, eigenvalues, projections):
+        eigenvalues, projections = tuple(eigenvalues), tuple(projections)
+        if len(eigenvalues) != len(projections):
             raise ValueError("eigenvalues and projections must have equal length")
-        if len(self.projections) == 0:
+        if len(projections) == 0:
             raise ValueError("empty spectral decomposition")
-        object.__setattr__(self, "projections",
-                           tuple(as_operator(P) for P in self.projections))
-        vals = np.asarray(self.eigenvalues, dtype=float)
-        if np.any(np.diff(vals) <= 0):
-            raise InvariantViolation("eigenvalues must be strictly increasing")
-        object.__setattr__(self, "eigenvalues", tuple(float(v) for v in vals))
+        self.eigenvalues = _increasing(eigenvalues)
+        self.projections = tuple(as_operator(P) for P in projections)
         validate_projection_family(self.projections, complete=True)
+        self.dim = self.projections[0].shape[0]
+        self.vectors = self.starts = None
 
-    @property
-    def dim(self) -> int:
-        return self.projections[0].shape[0]
+    @classmethod
+    def _from_eigh(cls, eigenvalues, vectors: np.ndarray,
+                   starts: np.ndarray) -> "SpectralDecomposition":
+        """The decomposition ``spectral_decompose`` has checked, in eigenvector form."""
+        self = cls.__new__(cls)
+        self.eigenvalues = _increasing(eigenvalues)
+        self.dim = vectors.shape[0]
+        self.vectors, self.starts = vectors, starts
+        return self
+
+    @cached_property
+    def projections(self) -> tuple[np.ndarray, ...]:
+        """V_j V_j* for each cluster's columns V_j, built on first read."""
+        ends = [*self.starts[1:], self.dim]
+        blocks = (np.ascontiguousarray(self.vectors[:, a:b]) for a, b in zip(self.starts, ends))
+        return tuple(V @ adjoint(V) for V in blocks)
 
     def reconstruct(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for lam, P in zip(self.eigenvalues, self.projections):
             out += lam * P
         return out
+
+
+def _increasing(eigenvalues) -> tuple[float, ...]:
+    vals = np.asarray(eigenvalues, dtype=float)
+    if np.any(np.diff(vals) <= 0):
+        raise InvariantViolation("eigenvalues must be strictly increasing")
+    return tuple(float(v) for v in vals)
 
 
 def validate_projection_family(projections, complete: bool = True,
@@ -260,20 +288,22 @@ def spectral_decompose(X: np.ndarray,
         raise InvariantViolation(
             f"spectral_decompose requires Hermitian input: anti-Hermitian part norm {defect:.3e}")
     # eigh returns ascending eigenvalues and orthonormal columns
-    vals, vecs = np.linalg.eigh((X + adjoint(X)) / 2.0)
-    clusters: list[list[int]] = [[0]]
-    for k in range(1, len(vals)):
-        if vals[k] - vals[clusters[-1][-1]] <= degeneracy_tol:
-            clusters[-1].append(k)
-        else:
-            clusters.append([k])
-    eigenvalues = []
-    projections = []
-    for idx in clusters:
-        V = vecs[:, idx]
-        eigenvalues.append(float(np.mean(vals[idx])))
-        projections.append(V @ adjoint(V))
-    return SpectralDecomposition(tuple(eigenvalues), tuple(projections))
+    H = (X + adjoint(X)) / 2.0
+    vals, vecs = np.linalg.eigh(H)
+    gram = _checked_norm(adjoint(vecs) @ vecs - np.eye(len(vals)), DEFAULT_TOL)
+    if gram > DEFAULT_TOL:
+        raise InvariantViolation(f"eigenvectors not orthonormal: ||V*V - 1|| = {gram:.3e}")
+    scale = tol * max(1.0, float(np.abs(vals).max(initial=0.0)))
+    r = _checked_norm((vecs * vals) @ adjoint(vecs) - H, scale)
+    if r > scale:
+        raise InvariantViolation(f"eigenvectors do not reconstruct the operator: residual {r:.3e}")
+    # chained clusters: a new one starts wherever a gap exceeds degeneracy_tol
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(vals) > degeneracy_tol) + 1))
+    ends = np.append(starts[1:], len(vals))
+    eigenvalues = vals[starts]
+    for j in np.flatnonzero(ends - starts > 1):
+        eigenvalues[j] = np.mean(vals[starts[j]:ends[j]])
+    return SpectralDecomposition._from_eigh(eigenvalues, vecs, starts)
 
 
 class DensityState:

@@ -14,11 +14,11 @@ from typing import NamedTuple
 import numpy as np
 
 from qevents import (DEFAULT_TOL, DEGENERACY_TOL, RANK_RCOND, SPAN_TOL, BranchRecord,
-                     DensityState, EventRecord, FiniteAlgebra, InvariantViolation,
-                     PartitionOfUnity, TrajectoryResult, adjoint, ambient_representative,
-                     antihermitian_defect, centralizer, operator_norm, spectral_decompose,
-                     substream)
-from qevents.events import _ambient, _detect, _resolve_policy, _sample_paths
+                     DensityState, DetectionVerdict, EventRecord, FiniteAlgebra,
+                     InvariantViolation, PartitionOfUnity, TrajectoryResult, adjoint,
+                     ambient_representative, antihermitian_defect, centralizer, contains,
+                     expect_onto_center, operator_norm, spectral_decompose, substream)
+from qevents.events import _ambient, _detect, _resolve_policy, _sample_paths, _weight_gap
 from qevents.histories import enumerate_protocols, lsw_probability
 from qevents.mesoscopic import _lgamma, _log_posterior_rows, _logsumexp, _xlogy
 
@@ -80,6 +80,38 @@ def block_algebra() -> FiniteAlgebra:
         E[i, j] = 1.0
         units.append(E)
     return FiniteAlgebra.from_span(units)
+
+
+def tensor_ambient(gen: np.random.Generator, n: int, m: int, scalars: int = 0) -> FiniteAlgebra:
+    """M_n (x) 1_m (+) C^scalars in a Haar-random frame."""
+    d = n * m + scalars
+    return FiniteAlgebra(d, random_unitary(gen, d), ((n, m),) + ((1, 1),) * scalars)
+
+
+def in_tensor_block(ambient: FiniteAlgebra, x: np.ndarray, rest=None) -> np.ndarray:
+    """V (x (x) 1_m (+) diag(rest)) V* for the first block (n, m) of the ambient."""
+    n, m = ambient.blocks[0]
+    d = ambient.dim
+    inner = np.zeros((d, d), dtype=complex)
+    inner[:n * m, :n * m] = np.kron(x, np.eye(m))
+    if rest is not None:
+        inner[n * m:, n * m:] = np.diag(rest)
+    V = ambient.unitary
+    return V @ inner @ adjoint(V)
+
+
+def tensor_state(gen: np.random.Generator, ambient: FiniteAlgebra, q: np.ndarray,
+                 rest=None) -> DensityState:
+    """A state whose in-ambient representative is ``in_tensor_block(ambient, q, rest)``
+    normalized, plus a part outside the ambient, as large as positivity allows."""
+    Q = in_tensor_block(ambient, q, rest)
+    Q /= np.trace(Q).real
+    H = random_hermitian(gen, ambient.dim)
+    outside = H - ambient.project(H)[0]
+    size = operator_norm(outside)
+    if size > 1e-12:
+        Q = Q + 0.5 * np.linalg.eigvalsh(Q).min() / size * outside
+    return DensityState(Q)
 
 
 # -- span oracles ------------------------------------------------------------
@@ -253,6 +285,43 @@ def reference_centralizer(ambient: FiniteAlgebra, state: DensityState) -> Refere
     return ReferenceCentralizer(FiniteAlgebra.from_span(unvec(cent_rows, d)),
                                 FiniteAlgebra.from_span(unvec(center_rows, d)),
                                 reference_minimal_projections(center_rows, d))
+
+
+def reference_pinched_centralizer(ambient: FiniteAlgebra, state: DensityState) -> FiniteAlgebra:
+    """The centralizer as the span of the pinched ambient basis, sum_l E_l B E_l.
+
+    The oracle for ``CentralizerReport.centralizer`` where eigenvalues merge
+    within ``DEGENERACY_TOL`` but not within ``reference_centralizer``'s
+    rank cutoff: the E_l are the report's own clustered eigenprojections.
+    Costs d^4 memory and d^6 time for full access; small d only.
+    """
+    report = centralizer(ambient, state)
+    basis = np.stack(ambient.basis)
+    pinched = sum(E @ basis @ E for E in report.state_spectral.projections)
+    return FiniteAlgebra.from_span(pinched, dim=ambient.dim)
+
+
+def reference_detect(state, partition, time, restriction, report,
+                     safety=0.5, tol=DEFAULT_TOL) -> DetectionVerdict:
+    """The event criterion by the dense path, one projection at a time.
+
+    The oracle for detection on factor ambients: each CE(P) is formed as a
+    d x d matrix by the public ``expect_onto_center`` over the report's
+    dense atoms, and the distance is ``operator_norm(CE(P) - P)``.
+    """
+    for P in partition.projections:
+        ok, r = contains(restriction, P, SPAN_TOL)
+        if not ok:
+            raise InvariantViolation(
+                f"partition not inside the restriction algebra at time {time}: residual {r:.3e}")
+    distance = max(operator_norm(expect_onto_center(restriction, state, P, report=report,
+                                                    check_ambient=False) - P)
+                   for P in partition.projections)
+    gap = _weight_gap(state, partition)
+    admissible = partition.size >= 2 and gap > tol
+    threshold = safety * gap / partition.size if admissible else float("nan")
+    return DetectionVerdict(admissible and distance <= threshold, float(time), float(distance),
+                            threshold, partition, float(gap), admissible)
 
 
 def reference_trajectory(frame, initial, safety=0.5, record_policy="always", rng_seed=0,

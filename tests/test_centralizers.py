@@ -7,15 +7,17 @@ from hypothesis import strategies as st
 
 import qevents.algebras
 import qevents.centralizers
-from qevents import (DensityState, HeisenbergFrame,
+from qevents import (DEGENERACY_TOL, DensityState, HeisenbergFrame,
                      InvariantViolation, PartitionOfUnity,
-                     ambient_representative, centralizer, diagonal_algebra,
+                     ambient_representative, centralizer, contains, diagonal_algebra,
                      equal_span, expect_onto_center, expect_onto_centralizer,
                      full_matrix_algebra, generate_algebra, incoherence_defect,
                      operator_norm, run_trajectory)
 
-from _helpers import (block_algebra, random_density, random_hermitian, random_partition,
-                      random_unitary, reference_centralizer, rng)
+from _helpers import (block_algebra, in_tensor_block, random_density, random_hermitian,
+                      random_partition, random_unitary, reference_centralizer,
+                      reference_pinched_centralizer, rng, run_capped, tensor_ambient,
+                      tensor_state)
 
 M2 = full_matrix_algebra(2)
 E11 = np.diag([1.0, 0.0]).astype(complex)
@@ -297,3 +299,75 @@ class TestClosedFormCost:
             tracemalloc.stop()
         assert len(rep.central_projections) == 16
         assert peak < 16 * 2**20
+
+
+class TestClosedFormCentralizer:
+    """``CentralizerReport.centralizer``/``.center`` from the per-block eigenvectors of Q."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(shape=st.sampled_from([(n, m) for n in range(1, 5) for m in range(1, 4) if n * m <= 8]),
+           scalar=st.booleans(), levels=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_svd_nullspace_path(self, shape, scalar, levels, seed):
+        # Q's eigenvalues come from a few levels, so clusters merge inside
+        # the tensor block and, with the scalar block, across blocks
+        gen = rng(seed)
+        n, m = shape
+        ambient = tensor_ambient(gen, n, m, scalars=int(scalar))
+        pool = 0.1 + gen.random(levels)
+        U = random_unitary(gen, n)
+        q = U @ np.diag(gen.choice(pool, n)) @ U.conj().T
+        state = tensor_state(gen, ambient, q, gen.choice(pool, int(scalar)))
+        rep = centralizer(ambient, state)
+        ref = reference_centralizer(ambient, state)
+
+        assert rep.centralizer.algebra_dim == ref.centralizer.algebra_dim
+        assert equal_span(rep.centralizer, ref.centralizer)[0]
+        assert equal_span(rep.center, ref.center)[0]
+        # the center's block indicators are the report's atoms
+        atoms = rep.center.minimal_central_projections
+        assert len(atoms) == len(rep.central_projections)
+        for z in atoms:
+            assert min(operator_norm(z - P) for P in rep.central_projections) <= 1e-9
+
+    @pytest.mark.parametrize("gap, scalar, cent_dim, atoms",
+                             [(3e-9, 0.2 + 1.5e-9, 6, 3), (1e-7, 0.35, 4, 4)])
+    def test_clusters_merged_within_degeneracy_tol(self, gap, scalar, cent_dim, atoms):
+        # eigenvalues 0.2, 0.2 + gap, 0.5 in M_3 (x) 1_2 and ``scalar`` on C:
+        # below DEGENERACY_TOL those near 0.2 chain into one cluster
+        gen = rng(113)
+        ambient = tensor_ambient(gen, 3, 2, scalars=1)
+        U = random_unitary(gen, 3)
+        q = U @ np.diag([0.2, 0.2 + gap, 0.5]) @ U.conj().T
+        Q = in_tensor_block(ambient, q, [scalar])
+        state = DensityState(Q / np.trace(Q).real)
+        rep = centralizer(ambient, state)
+        assert rep.centralizer.algebra_dim == cent_dim
+        assert len(rep.central_projections) == rep.center.algebra_dim == atoms
+        Q = ambient_representative(ambient, state)
+        for B in rep.centralizer.basis:
+            assert contains(ambient, B)[0]
+            assert operator_norm(Q @ B - B @ Q) <= 1e-9
+        if gap < DEGENERACY_TOL:
+            # reference_centralizer's rank cutoff (1e-10) keeps merged eigenvalues apart
+            assert equal_span(rep.centralizer, reference_pinched_centralizer(ambient, state))[0]
+
+    def test_full_access_at_dimension_64_takes_milliseconds(self):
+        # the pinched-span construction grew like d^6 (0.21 s at d = 24)
+        script = (
+            "import time\n"
+            "import numpy as np\n"
+            "from qevents import DensityState, centralizer, full_matrix_algebra\n"
+            "g = np.random.default_rng(5)\n"
+            "G = g.standard_normal((64, 64)) + 1j * g.standard_normal((64, 64))\n"
+            "M = G @ G.conj().T\n"
+            "rep = centralizer(full_matrix_algebra(64), DensityState(M / np.trace(M).real))\n"
+            "t = time.perf_counter()\n"
+            "c = rep.centralizer\n"
+            "z = rep.center\n"
+            "print(time.perf_counter() - t, c.algebra_dim, z.algebra_dim)\n"
+        )
+        proc = run_capped(script, timeout=20)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        elapsed, cent_dim, center_dim = proc.stdout.split()
+        assert (int(cent_dim), int(center_dim)) == (64, 64)
+        assert float(elapsed) < 1.0

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,12 +8,14 @@ from hypothesis import strategies as st
 from qevents import (DensityState, FiniteAlgebra, HeisenbergFrame,
                      InadmissibleThresholdError, InvariantViolation,
                      PartitionOfUnity, admissible_threshold, born_probabilities,
-                     collapse, detect_event, diagonal_algebra, earliest_event,
-                     run_trajectory, substream, unrecorded_update)
+                     centralizer, collapse, detect_event, diagonal_algebra, earliest_event,
+                     expect_onto_center, full_matrix_algebra, run_trajectory, substream,
+                     unrecorded_update)
 from qevents.events import _sample_paths
 
-from _helpers import (random_density, random_partition, random_unitary,
-                      reference_trajectory, rng, run_capped)
+from _helpers import (in_tensor_block, outcome, random_density, random_partition,
+                      random_unitary, reference_detect, reference_trajectory, rng,
+                      run_capped, tensor_ambient, tensor_state)
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E22 = np.diag([0.0, 1.0]).astype(complex)
@@ -388,3 +392,121 @@ class TestBatchedSampler:
             with pytest.raises(InvariantViolation, match="vanished"):
                 list(_sample_paths(frame, broken, 3, lambda m, j: np.zeros(m.size),
                                    require_detection=detection))
+
+
+def _factor_instance(gen, n, m, outcomes, state_kind):
+    """A factor ambient M_n (x) 1_m, a partition inside it and a state of the given kind.
+
+    "generic" is a random full-rank density on C^(n m).  "merged" puts two
+    eigenvalues of Q 3e-9 apart, inside one DEGENERACY_TOL cluster, and
+    adds a part outside the ambient that Q does not see.  "deficient" gives
+    Q zero eigenvalues (so nothing outside), whose atoms take the trace
+    fallback.  "aligned" is diagonal in the partition's blocks, so the event
+    fires.
+    """
+    ambient = (full_matrix_algebra(n) if m == 1 and gen.random() < 0.5
+               else tensor_ambient(gen, n, m))
+    small = random_partition(gen, n, outcomes)
+    part = PartitionOfUnity(small.labels,
+                            tuple(in_tensor_block(ambient, p) for p in small.projections))
+    if state_kind == "generic":
+        return ambient, part, random_density(gen, n * m)
+    if state_kind == "aligned":
+        w = gen.dirichlet(np.ones(outcomes))
+        q = sum(wi * p / np.trace(p).real for wi, p in zip(w, small.projections))
+        return ambient, part, DensityState(in_tensor_block(ambient, q) / m)
+    vals = gen.random(n) + 0.1
+    if state_kind == "merged" and n >= 2:
+        vals[1] = vals[0] + 3e-9
+    if state_kind == "deficient" and n >= 2:
+        vals[gen.permutation(n)[:n // 2]] = 0.0
+    U = random_unitary(gen, n)
+    return ambient, part, tensor_state(gen, ambient, U @ np.diag(vals) @ U.conj().T)
+
+
+def _assert_same_verdict(v, ref):
+    assert abs(v.distance - ref.distance) <= 1e-12
+    assert (v.happened, v.admissible, v.gap) == (ref.happened, ref.admissible, ref.gap)
+    assert v.threshold == ref.threshold or (np.isnan(v.threshold) and np.isnan(ref.threshold))
+
+
+class TestFactorDetection:
+    """Detection on factor ambients in V's eigenbasis against the dense path."""
+
+    SHAPES = [(n, m) for n in range(1, 13) for m in range(1, 13) if n * m <= 12]
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(shape=st.sampled_from(SHAPES), outcomes=st.integers(1, 3),
+           state_kind=st.sampled_from(["generic", "merged", "deficient", "aligned"]),
+           two_candidates=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_dense_path(self, shape, outcomes, state_kind, two_candidates, seed):
+        gen = rng(seed)
+        n, m = shape
+        outcomes = min(outcomes, n)
+        ambient, part, state = _factor_instance(gen, n, m, outcomes, state_kind)
+        candidates = (part,)
+        if two_candidates:
+            other = random_partition(gen, n, min(2, n))
+            candidates += (PartitionOfUnity(other.labels, tuple(
+                in_tensor_block(ambient, p) for p in other.projections)),)
+        frame = HeisenbergFrame((1.0,), None, (candidates,), (ambient,))
+        report = centralizer(ambient, state)
+        if state_kind == "deficient" and n >= 2:
+            _, info = expect_onto_center(ambient, state, part.projections[0], report=report,
+                                         return_info=True)
+            assert info.fallback_atoms
+        if state_kind == "merged" and n >= 2:
+            assert len(report.state_spectral.eigenvalues) < n
+        (row,) = earliest_event(frame, state).verdicts
+        for v, p in zip(row, candidates):
+            _assert_same_verdict(v, reference_detect(state, p, 1.0, ambient, report))
+            _assert_same_verdict(detect_event(frame, state, 1.0, p), v)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_partition_outside_the_restriction_raises_at_detection(self, m):
+        gen = rng(127)
+        ambient = tensor_ambient(gen, 2, m)
+        part = random_partition(gen, 2 * m, 2)
+        frame = HeisenbergFrame((1.0,), None, ((part,),), (ambient,))
+        state = random_density(gen, 2 * m)
+        got = outcome(detect_event, frame, state, 1.0, part)
+        want = outcome(reference_detect, state, part, 1.0, ambient, centralizer(ambient, state))
+        assert got[0] is InvariantViolation and got == want
+        assert "partition not inside the restriction algebra at time 1.0" in got[1]
+
+
+def _generic_full_access(d, seed):
+    """A generic full-rank state and a two-outcome rotated partition with full access."""
+    gen = rng(seed)
+    G = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+    M = G @ G.conj().T
+    part = random_partition(gen, d, 2)
+    frame = HeisenbergFrame.build(times=(1.0,), partitions=part)
+    return frame, DensityState(M / np.trace(M).real), part
+
+
+class TestFactorDetectionScale:
+    def test_generic_state_at_dimension_256_within_20_seconds(self):
+        # d distinct eigenvalues: the dense path (k^2 pairwise checks and
+        # k z P z products) took about 96 s here
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from test_events import _generic_full_access\n"
+            "from qevents import detect_event\n"
+            "frame, state, part = _generic_full_access(256, 131)\n"
+            "v = detect_event(frame, state, 1.0, part)\n"
+            "print(v.admissible, v.distance)\n"
+        )
+        proc = run_capped(script, timeout=20)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        admissible, distance = proc.stdout.split()
+        assert admissible == "True" and 0.0 < float(distance) <= 1.0
+
+    def test_dimension_128_agrees_with_the_dense_path(self):
+        frame, state, part = _generic_full_access(128, 137)
+        v = detect_event(frame, state, 1.0, part)
+        ambient = frame.full_ambient
+        ref = reference_detect(state, part, 1.0, ambient, centralizer(ambient, state))
+        assert len(centralizer(ambient, state).state_spectral.eigenvalues) == 128
+        _assert_same_verdict(v, ref)

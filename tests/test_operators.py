@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qevents import (DEFAULT_TOL, DensityState, HeisenbergFrame, InvariantViolation,
-                     PartitionOfUnity, adjoint, antihermitian_defect, conjugate,
+                     PartitionOfUnity, SpectralDecomposition, adjoint, antihermitian_defect, conjugate,
                      is_hermitian, is_projection, is_unitary, operator_from_json,
                      operator_norm, operator_to_json, spectral_decompose)
 from qevents.operators import _checked_norm, _unitarity_defect, validate_projection_family
@@ -56,6 +56,50 @@ class TestSpectralDecompose:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvariantViolation, match="[Hh]ermitian"):
             spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+class TestSpectralChecks:
+    """Which checks run: Gram and reconstruction residuals for eigh-built
+    families, the pairwise family check for user-supplied ones."""
+
+    def test_eigh_built_projections_are_lazy_and_pass_the_pairwise_check(self):
+        A = np.diag([1.0, 1.0 + 1e-12, 2.0, 3.0]).astype(complex)
+        U = random_unitary(rng(11), 4)
+        sd = spectral_decompose(U @ A @ U.conj().T)
+        assert "projections" not in vars(sd)
+        assert list(sd.starts) == [0, 2, 3] and sd.vectors.shape == (4, 4)
+        reference_validate_projection_family(sd.projections)
+        assert sd.projections is sd.projections
+
+    def test_projections_are_the_outer_products_of_eigh_columns(self):
+        X = random_hermitian(rng(13), 5)
+        vals, vecs = np.linalg.eigh((X + X.conj().T) / 2.0)
+        sd = spectral_decompose(X)
+        for j, P in enumerate(sd.projections):
+            V = vecs[:, [j]]
+            np.testing.assert_array_equal(P, V @ V.conj().T)
+
+    def test_user_supplied_family_keeps_the_pairwise_check(self):
+        P = np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(InvariantViolation, match="not orthogonal"):
+            SpectralDecomposition((0.0, 1.0), (P, P))
+        sd = SpectralDecomposition((0.0, 1.0), (P, np.eye(2) - P))
+        assert sd.vectors is None and sd.starts is None and sd.dim == 2
+
+    @pytest.mark.parametrize("fault, message", [
+        (lambda w, V: (w, V * 1.001), "not orthonormal"),
+        (lambda w, V: (w + 1e-6, V), "do not reconstruct"),
+    ])
+    def test_eigh_output_is_checked(self, monkeypatch, fault, message):
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda X: fault(*eigh(X)))
+        with pytest.raises(InvariantViolation, match=message):
+            spectral_decompose(random_hermitian(rng(17), 3))
+
+    def test_reconstruction_tolerance_scales_with_the_operator(self):
+        X = 1e6 * random_hermitian(rng(19), 6)
+        sd = spectral_decompose(X)
+        np.testing.assert_allclose(sd.reconstruct(), X, atol=1e-6)
 
 
 class TestConjugate:
