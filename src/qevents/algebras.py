@@ -25,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvariantViolation
-from .operators import (DEFAULT_TOL, DEGENERACY_TOL, _unitarity_defect, adjoint,
-                        as_operator, operator_to_json, operator_from_json)
+from .operators import (DEFAULT_TOL, DEGENERACY_TOL, _chained_clusters, _unitarity_defect,
+                        adjoint, as_operator, operator_to_json, operator_from_json)
 
 # Relative singular-value cutoff for rank decisions.
 RANK_RCOND = 1e-10
@@ -62,7 +62,7 @@ class FiniteAlgebra:
     multiplicity index mu; the columns left over span the zero block.
     Derived structure is cached on first use with ``cached_property`` (V and
     the blocks never change): ``basis``, ``minimal_central_projections`` and
-    the projection's index table.
+    the block layout by shape, ``_groups``.
     """
 
     dim: int
@@ -112,16 +112,22 @@ class FiniteAlgebra:
         return tuple(W @ adjoint(W) for W in frames)
 
     @cached_property
-    def _unit_entries(self) -> tuple[np.ndarray, ...]:
-        """Flat positions in V's frame of the m entries of each e_ab (x) 1_m, by m."""
-        groups: dict[int, list[np.ndarray]] = {}
+    def _groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per block shape (n, m), in order of first appearance: the (g, n, m) columns
+        of V its g blocks own and the (g, n, n, m) flat positions in V's frame
+        of the m entries of each e_ab (x) 1_m."""
+        groups: dict[tuple[int, int], list[np.ndarray]] = {}
         at = 0
         for n, m in self.blocks:
-            col = at + np.arange(n * m).reshape(n, m)
-            flat = col[:, None, :] * self.dim + col[None, :, :]
-            groups.setdefault(m, []).append(flat.reshape(n * n, m))
+            groups.setdefault((n, m), []).append(at + np.arange(n * m).reshape(n, m))
             at += n * m
-        return tuple(np.concatenate(g) for g in groups.values())
+        stacks = (np.stack(g) for g in groups.values())
+        return tuple((c, c[:, :, None, :] * self.dim + c[:, None, :, :]) for c in stacks)
+
+    def _block_means(self, Y: np.ndarray) -> list[np.ndarray]:
+        """Each group's blocks of Y, in V's frame and flattened, averaged over
+        multiplicity: one (..., g, n, n) stack per group of ``_groups``."""
+        return [Y[..., flat].mean(axis=-1) for _, flat in self._groups]
 
     def project(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Hilbert-Schmidt projection onto the algebra and the HS norm it removes.
@@ -136,8 +142,8 @@ class FiniteAlgebra:
         V = self.unitary
         Y = (adjoint(V) @ X @ V).reshape(*lead, -1)
         Z = np.zeros_like(Y)
-        for idx in self._unit_entries:
-            Z[..., idx] = Y[..., idx].mean(axis=-1, keepdims=True)
+        for (_, flat), q in zip(self._groups, self._block_means(Y)):
+            Z[..., flat] = q[..., None]
         residual = np.linalg.norm(Y - Z, axis=-1)
         return V @ Z.reshape(X.shape) @ adjoint(V), residual
 
@@ -208,7 +214,7 @@ def _block_diagonalize(H: np.ndarray, Y: np.ndarray, tol: float):
     cluster that Y does not even couple to itself is the zero block.
     """
     vals, vecs = np.linalg.eigh(H)
-    starts = np.flatnonzero(np.r_[True, np.diff(vals) > DEGENERACY_TOL])
+    starts = np.flatnonzero(_chained_clusters(vals, np.ones(len(vals)), DEGENERACY_TOL)[0])
     clusters = [slice(a, b) for a, b in zip(starts, [*starts[1:], len(vals)])]
     G = adjoint(vecs) @ Y @ vecs
     power = np.add.reduceat(np.add.reduceat(np.abs(G) ** 2, starts, axis=0), starts, axis=1)

@@ -2,30 +2,17 @@
 
 Given a state on an ambient algebra, the centralizer is the set of elements
 the state cannot distinguish order on (the functional kills every commutator
-against them).  In terms of the state's in-span representative Q it is the
-relative commutant of Q in the ambient, which is known in closed form.
-Write the ambient as A = (+)_i M_{n_i} (x) 1_{m_i} with minimal central
-projections z_i, and let E_l = V_l V_l* be the clustered eigenprojections of
-Q, V_l the orthonormal eigenvector columns of cluster l.  Then the
-centralizer is the pinching of A, sum_l E_l A E_l, and the minimal
-projections of its center are the nonzero products z_i E_l.
-
-Cost per state, for a state with k eigenvalue clusters on C^d:
-
-- Every ambient: one eigh of Q, checked by one Gram and one reconstruction
-  residual (two d^3 products).
-- A factor (one z: full access or any M_n (x) 1_m): the atoms are the E_l
-  themselves and detection never forms them.  For the N projections of a
-  candidate it computes V* P V, the center coefficients from the diagonal
-  blocks, and the distance from one batched eigvalsh: O(N d^3) in all,
-  whatever k.
-- Any other ambient: the products z_i E_l are formed and validated
-  pairwise, and each conditional expectation is a sum over atoms:
-  O(a^2 d^3) per state for a atoms.
-
-The z_i depend on the ambient alone and are cached on it.  Both conditional
-expectations (onto the centralizer by pinching, onto the center by weighted
-block averages) stay inside the ambient span by construction.
+against them): the relative commutant of the state's in-span representative
+Q, known in closed form.  With the ambient V ((+)_i M_{n_i} (x) 1_{m_i}) V*,
+Q = V ((+)_i q_i (x) 1_{m_i}) V*.  One checked eigh per block shape gives
+q_i = u_i diag(w_i) u_i*, and F = V ((+)_i u_i (x) 1_{m_i}) is an eigenbasis
+of Q.  The eigenvalues of all blocks cluster together; each atom of the
+center, z_i E_l for a block indicator z_i and a clustered eigenprojection
+E_l, is F_a F_a* for a run F_a of F's columns, and the centralizer is
+(+)_{i,l} M_{r_il} (x) 1_{m_i} in the frame F.  Detection and the center
+expectation work in that frame: O(d^3) per projection, whatever the number
+of atoms.  Both conditional expectations stay inside the ambient span by
+construction.
 """
 
 from __future__ import annotations
@@ -39,9 +26,8 @@ import numpy as np
 from .errors import InvariantViolation
 from .algebras import FiniteAlgebra, SPAN_TOL, center, contains, minimal_projections
 from .operators import (DEFAULT_TOL, DEGENERACY_TOL, DensityState,
-                        PartitionOfUnity, SpectralDecomposition, adjoint,
-                        as_operator, operator_norm, spectral_decompose,
-                        validate_projection_family)
+                        PartitionOfUnity, SpectralDecomposition, _chained_clusters,
+                        _checked_eigh, adjoint, as_operator, operator_norm)
 
 __all__ = [
     "CentralizerReport",
@@ -57,60 +43,43 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class CentralizerReport:
-    """Centralizer and center of a state on an ambient algebra.
+    """Centralizer and center of a state on an ambient algebra, in column blocks.
 
-    ``state_spectral`` is the clustered spectral decomposition of the
-    density matrix restricted to the ambient algebra (its in-span
-    representative Q), in eigenvector form.  ``central_projections`` are
-    the minimal projections of the center, the atoms used by
-    ``expect_onto_center``.  On a factor ambient they are the
-    eigenprojections E_l = V_l V_l* of Q, built on first read; detection
-    reads the columns V_l instead.  On any other ambient the function
-    ``centralizer`` forms and validates the products z_i E_l.  The
-    ``centralizer`` and ``center`` algebras are built in closed form on
-    first use.  All three are cached with ``cached_property``.
+    ``frame`` is the eigenbasis F of Q.  Atom a owns F's columns from
+    ``starts[a]`` to the next (``atoms`` maps columns to atoms), has
+    multiplicity ``multiplicities[a]`` and lies in cluster ``clusters[a]``
+    of mean ``eigenvalues[clusters[a]]``; the rest are cached views.
     """
 
     ambient: FiniteAlgebra
-    state_spectral: SpectralDecomposition
+    frame: np.ndarray
+    starts: np.ndarray
+    atoms: np.ndarray
+    multiplicities: np.ndarray
+    clusters: np.ndarray
+    eigenvalues: np.ndarray
 
     @cached_property
     def central_projections(self) -> tuple[np.ndarray, ...]:
-        """The nonzero products z_i E_l; the E_l themselves on a factor."""
-        zs = self.ambient.minimal_central_projections
-        if len(zs) == 1:
-            return self.state_spectral.projections
-        products = (z @ E for z in zs for E in self.state_spectral.projections)
-        atoms = tuple(P for P in products if np.trace(P).real > 0.5)
-        validate_projection_family(atoms, complete=True)
-        return atoms
+        """The atoms F_a F_a*, the minimal projections of the center."""
+        ends = [*self.starts[1:].tolist(), self.ambient.dim]
+        blocks = (self.frame[:, a:b] for a, b in zip(self.starts.tolist(), ends))
+        return tuple(Fa @ adjoint(Fa) for Fa in blocks)
+
+    @cached_property
+    def state_spectral(self) -> SpectralDecomposition:
+        """Q's clusters, each the union of its atoms' columns."""
+        label = self.clusters[self.atoms]
+        order = np.argsort(label, kind="stable")
+        starts = np.searchsorted(label[order], np.arange(len(self.eigenvalues)))
+        return SpectralDecomposition._from_eigh(self.eigenvalues, self.frame[:, order], starts)
 
     @cached_property
     def centralizer(self) -> FiniteAlgebra:
-        """(+)_i (+)_l M_{r_il} (x) 1_{m_i}, in the frame of the eigenvectors of each Q_i.
-
-        In the ambient's frame W, Q = (+)_i Q_i (x) 1_{m_i}.  Q_i is read off
-        the clustered Q (each cluster at its mean eigenvalue) as the
-        multiplicity average of W_i* Q W_i, and each of its eigenvalues is
-        assigned the nearest cluster of Q, so the r_il are the ranks of the
-        report's clusters in block i.
-        """
-        spec, d = self.state_spectral, self.ambient.dim
-        lam = np.asarray(spec.eigenvalues)
-        per_column = np.repeat(lam, np.diff([*spec.starts, d]))
-        columns, blocks = [], []
-        for W in self.ambient._block_frames():
-            _, n, m = W.shape
-            X = adjoint(W.reshape(d, -1)) @ spec.vectors
-            q = np.einsum("aubu->ab", ((X * per_column) @ adjoint(X)).reshape(n, m, n, m)) / m
-            vals, u = np.linalg.eigh((q + adjoint(q)) / 2.0)
-            label = np.abs(vals[:, None] - lam[None, :]).argmin(axis=1)
-            turned = np.einsum("xam,ab->xbm", W, u)
-            for l in np.unique(label):
-                cols = np.flatnonzero(label == l)
-                columns.append(turned[:, cols, :].reshape(d, -1))
-                blocks.append((cols.size, m))
-        return FiniteAlgebra(d, np.hstack(columns), tuple(blocks))
+        """(+)_{i,l} M_{r_il} (x) 1_{m_i} in the frame F: one block per atom."""
+        ranks = np.bincount(self.atoms) // self.multiplicities
+        return FiniteAlgebra(self.ambient.dim, self.frame,
+                             tuple(zip(ranks.tolist(), self.multiplicities.tolist())))
 
     @cached_property
     def center(self) -> FiniteAlgebra:
@@ -140,49 +109,91 @@ def centralizer(ambient: FiniteAlgebra, state: DensityState,
                 degeneracy_tol: float = DEGENERACY_TOL) -> CentralizerReport:
     """Centralizer report of a state on an ambient algebra.
 
-    The atoms of the center are the nonzero products z_i E_l of the
-    ambient's minimal central projections with the clustered
-    eigenprojections of the state's in-span representative Q; eigenvalues
-    of Q within ``degeneracy_tol`` share one atom.
+    The blocks q_i of Q are read off V* rho V as ``FiniteAlgebra.project``
+    averages them (rho itself for the full matrix algebra).  Eigenvalues
+    within ``degeneracy_tol`` (chained) share a cluster, whose mean weighs
+    each by its multiplicity m_i.
     """
     if not ambient.contains_identity:
         raise InvariantViolation("ambient algebra must contain the identity")
-    Q = ambient_representative(ambient, state)
-    spectral = spectral_decompose(Q, degeneracy_tol=degeneracy_tol, tol=max(tol, 1e-8))
-    report = CentralizerReport(ambient, spectral)
-    if len(ambient.minimal_central_projections) > 1:
-        report.central_projections   # not a factor: the atoms z_i E_l are formed and checked now
-    return report
+    if state.dim != ambient.dim:
+        raise ValueError("state and algebra dimensions differ")
+    d, V = ambient.dim, ambient.unitary
+    if ambient.blocks == ((d, 1),):
+        V, groups, stacks = None, [np.arange(d).reshape(1, d, 1)], [state.matrix[None]]
+    else:
+        groups = [cols for cols, _ in ambient._groups]
+        stacks = ambient._block_means((adjoint(V) @ state.matrix @ V).reshape(-1))
+    columns, vals, mult, opens = [], [], [], []
+    for cols, q in zip(groups, stacks):
+        g, n, m = cols.shape
+        w, u = _checked_eigh(q, max(tol, 1e-8))
+        if V is None:
+            columns.append(u[0])
+        else:   # a block of size 1 has eigenvector 1
+            W = V[:, cols.reshape(-1)].reshape(d, g, n, m)
+            columns.append((W if n == 1 else np.einsum("xgam,gab->xgbm", W, u)).reshape(d, -1))
+        vals.append(w.reshape(-1))
+        mult.append(np.full(g * n, m))
+        opens.append(np.arange(g * n) % n == 0)
+    # one entry per eigenvalue of a block, in F's column order, owning m columns;
+    # an atom is a run of one block's eigenvalues in one cluster
+    frame, vals, mult, opens = (x[0] if len(x) == 1 else np.concatenate(x, axis=x[0].ndim - 1)
+                                for x in (columns, vals, mult, opens))
+    order = np.argsort(vals, kind="stable")
+    new_cluster, eigenvalues = _chained_clusters(vals[order], mult[order], degeneracy_tol)
+    cluster = np.empty(len(vals), dtype=int)
+    cluster[order] = np.cumsum(new_cluster) - 1
+    opens[1:] |= cluster[1:] != cluster[:-1]
+    at = np.flatnonzero(opens)
+    return CentralizerReport(ambient, frame, (np.cumsum(mult) - mult)[at],
+                             np.repeat(np.cumsum(opens) - 1, mult), mult[at], cluster[at],
+                             eigenvalues)
 
 
-def _factor_center_distance(report: CentralizerReport, state: DensityState,
-                            stack: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    """max_j ||CE(P_j) - P_j|| for the center expectation on a factor ambient.
+def _center_coefficients(report: CentralizerReport, state: DensityState,
+                         stack: np.ndarray, tol: float = DEFAULT_TOL,
+                         parts=(np.real, np.imag)):
+    """Coefficients c of CE(P_j) = sum_a c_ja z_a for the (N, d, d) ``stack`` of P_j.
 
-    ``stack`` holds the P_j as one (N, d, d) array.  In the eigenbasis V of
-    Q the atoms are the diagonal blocks of the identity, so CE(P) =
-    V diag(c) V* with c_l = tr(R_l B_l) / w_l for R = V* rho V, B = V* P V
-    and w_l = tr R_l, or the normalized trace tr B_l / r_l where w_l <=
-    ``tol``, exactly as ``expect_onto_center`` weighs the atom V_l V_l*.
-    The distance is then the largest |eigenvalue| of the Hermitian
-    diag(c) - B: one ``eigvalsh`` batched over the stack.
+    In the frame F the atoms are diagonal blocks, so c_a = tr(R_a B_a) / w_a
+    for R = F* rho F, B = F* P F and w_a = tr R_a = phi(z_a), or tr B_a /
+    tr 1_a where w_a <= ``tol``.  Each of the ``parts`` (real, imaginary) is
+    summed and divided on its own; the others stay 0.  Returns c, B and w.
     """
-    spec = report.state_spectral
-    V, starts = spec.vectors, spec.starts
-    d = V.shape[0]
-    sizes = np.diff([*starts, d])
-    label = np.repeat(np.arange(starts.size), sizes)
-    R = adjoint(V) @ state.matrix @ V
-    B = adjoint(V) @ stack @ V
-    # tr(R_l B_l) sums R[a, b] B[b, a] over a and b in cluster l
-    cross = np.add.reduceat(R * B.transpose(0, 2, 1), starts, axis=2)[:, np.arange(d), label]
-    weighted = np.add.reduceat(cross.real, starts, axis=1)
+    F, Fh, starts, label = report.frame, adjoint(report.frame), report.starts, report.atoms
+    R = Fh @ state.matrix @ F
+    B = Fh @ stack @ F
+    # tr(R_a B_a) sums R[x, y] B[y, x] over x and y in atom a
+    cross = np.add.reduceat(R * B.transpose(0, 2, 1), starts, axis=2)
+    cross = cross[:, np.arange(len(label)), label]
     w = np.add.reduceat(np.diagonal(R).real, starts)
-    c = np.add.reduceat(np.diagonal(B, axis1=1, axis2=2).real, starts, axis=1) / sizes
-    np.divide(weighted, w, out=c, where=w > tol)
-    H = -B
-    H[:, np.arange(d), np.arange(d)] += c[:, label]
+    sizes = np.bincount(label)
+    diagonal = np.diagonal(B, axis1=1, axis2=2)
+    c = np.zeros((B.shape[0], len(sizes)), dtype=complex)
+    for part in parts:
+        np.divide(np.add.reduceat(part(diagonal), starts, axis=1), sizes, out=part(c))
+        np.divide(np.add.reduceat(part(cross), starts, axis=1), w, out=part(c), where=w > tol)
+    return c, B, w
+
+
+def _center_distance(report: CentralizerReport, state: DensityState,
+                     stack: np.ndarray, tol: float = DEFAULT_TOL) -> float:
+    """max_j ||CE(P_j) - P_j||, by one batched eigvalsh of F* (CE(P) - P) F = diag(c) - B."""
+    c, B, _ = _center_coefficients(report, state, stack, tol, parts=(np.real,))
+    H, diagonal = -B, np.arange(B.shape[-1])
+    H[:, diagonal, diagonal] += c.real[:, report.atoms]
     return float(np.abs(np.linalg.eigvalsh(H)).max())
+
+
+def _operand_and_report(ambient, state, A, tol, report, check_ambient):
+    """A as a matrix, checked to lie in the ambient within ``tol``, and the state's report."""
+    A = as_operator(A, ambient.dim)
+    if check_ambient:
+        ok, r = contains(ambient, A, tol)
+        if not ok:
+            raise InvariantViolation(f"operator outside the ambient algebra: residual {r:.3e}")
+    return A, centralizer(ambient, state) if report is None else report
 
 
 class PinchInfo(NamedTuple):
@@ -201,13 +212,7 @@ def expect_onto_centralizer(ambient: FiniteAlgebra, state: DensityState,
     re-projected onto the span if rounding pushed it out, with the residual
     reported via ``return_info``.
     """
-    A = as_operator(A, ambient.dim)
-    if check_ambient:
-        ok, r = contains(ambient, A, tol)
-        if not ok:
-            raise InvariantViolation(f"operator outside the ambient algebra: residual {r:.3e}")
-    if report is None:
-        report = centralizer(ambient, state)
+    A, report = _operand_and_report(ambient, state, A, tol, report, check_ambient)
     out = np.zeros_like(A)
     for P in report.state_spectral.projections:
         out += P @ A @ P
@@ -237,30 +242,12 @@ def expect_onto_center(ambient: FiniteAlgebra, state: DensityState,
     gives no weight to (phi(z_j) <= tol) fall back to the normalized trace;
     which atoms that happened on is reported via ``return_info``.
     """
-    A = as_operator(A, ambient.dim)
-    if check_ambient:
-        ok, r = contains(ambient, A, SPAN_TOL)
-        if not ok:
-            raise InvariantViolation(f"operator outside the ambient algebra: residual {r:.3e}")
-    if report is None:
-        report = centralizer(ambient, state)
-    out = np.zeros_like(A)
-    coeffs = []
-    weights = []
-    fallback = []
-    for j, z in enumerate(report.central_projections):
-        w = float(np.real(state.expect(z)))
-        block = z @ A @ z
-        if w > tol:
-            c = complex(state.expect(block)) / w
-        else:
-            fallback.append(j)
-            c = complex(np.trace(block)) / float(np.real(np.trace(z)))
-        out += c * z
-        coeffs.append(c)
-        weights.append(w)
+    A, report = _operand_and_report(ambient, state, A, SPAN_TOL, report, check_ambient)
+    c, _, w = _center_coefficients(report, state, A[None], tol)
+    out = (report.frame * c[0, report.atoms]) @ adjoint(report.frame)
     if return_info:
-        return out, CenterExpectationInfo(tuple(coeffs), tuple(weights), tuple(fallback))
+        return out, CenterExpectationInfo(tuple(c[0].tolist()), tuple(w.tolist()),
+                                          tuple(np.flatnonzero(w <= tol).tolist()))
     return out
 
 
@@ -290,6 +277,7 @@ def incoherence_defect(ambient: FiniteAlgebra, state: DensityState,
     if not ok:
         raise InvariantViolation(f"operator outside the ambient algebra: residual {r:.3e}")
     phi_A = state.expect(A)
+    expect = expect_onto_center if use_center else expect_onto_centralizer
     pinched = 0.0 + 0.0j
     delta_prime = 0.0
     for P in partition.projections:
@@ -297,10 +285,7 @@ def incoherence_defect(ambient: FiniteAlgebra, state: DensityState,
         if not ok:
             raise InvariantViolation(f"partition leaves the ambient algebra: residual {r:.3e}")
         pinched += state.expect(P @ A @ P)
-        if use_center:
-            ce = expect_onto_center(ambient, state, P, report=report, check_ambient=False)
-        else:
-            ce = expect_onto_centralizer(ambient, state, P, report=report, check_ambient=False)
+        ce = expect(ambient, state, P, report=report, check_ambient=False)
         delta_prime = max(delta_prime, operator_norm(ce - P))
     lhs = abs(phi_A - pinched)
     n_outcomes = partition.size

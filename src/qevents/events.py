@@ -20,11 +20,10 @@ import numpy as np
 
 from .algebras import (FiniteAlgebra, SPAN_TOL, _inclusion_residual, contains,
                        full_matrix_algebra)
-from .centralizers import (CentralizerReport, _factor_center_distance, centralizer,
-                           expect_onto_center)
+from .centralizers import CentralizerReport, _center_distance, centralizer
 from .errors import InadmissibleThresholdError, InvariantViolation
 from .operators import (DEFAULT_TOL, DensityState, PartitionOfUnity, _checked_norm,
-                        _unitarity_defect, as_operator, operator_norm)
+                        _unitarity_defect, as_operator)
 from .seeding import substream
 
 logger = logging.getLogger(__name__)
@@ -290,13 +289,7 @@ def _detect(state: DensityState, partition: PartitionOfUnity, time: float,
         if not ok:
             raise InvariantViolation(
                 f"partition not inside the restriction algebra at time {time}: residual {r:.3e}")
-    if len(restriction.minimal_central_projections) == 1:
-        distance = _factor_center_distance(report, state, partition.stack)
-    else:
-        distance = 0.0
-        for P in partition.projections:
-            ce = expect_onto_center(restriction, state, P, report=report, check_ambient=False)
-            distance = max(distance, operator_norm(ce - P))
+    distance = _center_distance(report, state, partition.stack)
     gap = _weight_gap(state, partition)
     admissible = partition.size >= 2 and gap > tol
     if admissible:
@@ -321,10 +314,16 @@ def detect_event(frame: HeisenbergFrame, state: DensityState, time,
     """
     if not 0.0 < safety < 1.0:
         raise ValueError(f"safety factor must lie in (0, 1), got {safety!r}")
-    k = frame.index_of(time)
+    return _verdicts(frame, frame.index_of(time), state, (partition,), safety, tol)[0]
+
+
+def _verdicts(frame: HeisenbergFrame, k: int, state: DensityState, candidates,
+              safety: float, tol: float) -> list[DetectionVerdict]:
+    """``_detect`` for each candidate at frame time k, on one centralizer report."""
     restriction = _ambient(frame, k)
     report = centralizer(restriction, state)
-    return _detect(state, partition, frame.times[k], restriction, report, safety, tol)
+    return [_detect(state, p, frame.times[k], restriction, report, safety, tol)
+            for p in candidates]
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,14 +343,8 @@ def earliest_event(frame: HeisenbergFrame, state: DensityState,
     (smallest-distance) detection.  If nothing fires the report says so and
     still carries every verdict for audit.
     """
-    all_verdicts = []
-    for k, t in enumerate(frame.times):
-        restriction = _ambient(frame, k)
-        report = centralizer(restriction, state)
-        row = tuple(_detect(state, p, t, restriction, report, safety, tol)
-                    for p in frame.partitions[k])
-        all_verdicts.append(row)
-    verdicts = tuple(all_verdicts)
+    verdicts = tuple(tuple(_verdicts(frame, k, state, frame.partitions[k], safety, tol))
+                     for k in range(len(frame.times)))
 
     fired = [any(v.happened for v in row) for row in verdicts]
     if not any(fired):
@@ -498,11 +491,8 @@ def _sample_paths(frame: HeisenbergFrame, initial: DensityState, samples: int,
         t = frame.times[k]
         verdict = None
         if require_detection:
-            state_k = DensityState(rho, validate=False)
-            restriction = _ambient(frame, k)
-            report = centralizer(restriction, state_k)
-            verdicts = [_detect(state_k, p, t, restriction, report, safety, tol)
-                        for p in frame.partitions[k]]
+            verdicts = _verdicts(frame, k, DensityState(rho, validate=False),
+                                 frame.partitions[k], safety, tol)
             firing = sorted((v for v in verdicts if v.happened), key=lambda v: v.distance)
             if not firing:
                 skipped = BranchRecord(t, False, any(v.admissible for v in verdicts),

@@ -130,18 +130,21 @@ def _operands(family) -> list[np.ndarray]:
 def _checked_norm(X: np.ndarray, tol: float) -> float:
     """A norm of X that exceeds ``tol`` exactly when ``operator_norm(X)`` does.
 
-    ``X`` is a matrix, or a 1-D array standing for the diagonal matrix it
-    spells.  A finite diagonal has spectral norm max |d_i|, read off
-    exactly.  A matrix passes on its Frobenius norm, an upper bound of the
-    spectral norm, when that is at most ``tol``; otherwise the SVD decides.
-    So whenever the check fails the value is the spectral norm itself.
+    ``X`` is a matrix, a stack of matrices (the worst member counts), or a
+    1-D array standing for the diagonal matrix it spells.  A finite
+    diagonal has spectral norm max |d_i|, read off exactly.  A matrix or a
+    stack passes on its Frobenius norm, an upper bound of the spectral
+    norm, when that is at most ``tol``; otherwise the SVD decides.  So
+    whenever the check fails the value is the spectral norm itself.
     Non-finite input reaches the SVD, which rejects NaN; where it returns
     NaN instead (infinite entries), the norm counts as infinite and fails.
     """
-    if X.ndim == 2:
-        fro = float(np.linalg.norm(X))
+    if X.ndim >= 2:
+        fro = math.sqrt(np.vdot(X, X).real)
         if fro <= tol:
             return fro
+        if X.ndim == 3:
+            return max(_checked_norm(M, tol) for M in X)
         d = _diagonal(X)
         if d is not None:
             X = d
@@ -176,15 +179,10 @@ class SpectralDecomposition:
     orthogonal projection onto the eigenspace of ``eigenvalues[j]``.  A
     decomposition is checked once, in one of two ways:
 
-    - ``spectral_decompose`` keeps eigh's orthonormal columns ``vectors``,
-      cluster j owning columns ``starts[j]`` up to the next start, and
-      builds ``projections[j] = V_j V_j*`` on first read (a
-      ``cached_property``).  It checks the Gram residual ||V*V - 1|| <=
-      ``DEFAULT_TOL``, which bounds every defect the pairwise check
-      measures (Hermiticity, idempotence, orthogonality, completeness) by
-      DEFAULT_TOL (1 + DEFAULT_TOL), and the reconstruction residual
-      ||V diag(w) V* - X|| <= tol max(1, ||X||) for eigh's unclustered
-      eigenvalues w.  Each is one d^3 product, whatever the cluster count.
+    - ``spectral_decompose`` (and ``CentralizerReport.state_spectral``) keeps
+      eigh's orthonormal columns ``vectors``, checked by ``_checked_eigh``,
+      cluster j owning columns ``starts[j]`` up to the next start, and builds
+      ``projections[j] = V_j V_j*`` on first read (a ``cached_property``).
     - ``SpectralDecomposition(eigenvalues, projections)`` takes a
       user-supplied family and checks it with ``validate_projection_family``
       (Hermiticity, idempotence, pairwise orthogonality, completeness).  It
@@ -273,6 +271,46 @@ def validate_projection_family(projections, complete: bool = True,
             raise InvariantViolation(f"projections do not sum to identity: residual {r:.3e}")
 
 
+def _checked_eigh(X: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of each matrix of a Hermitian stack, checked on the whole stack.
+
+    Rejects anti-Hermitian parts above ``tol``, then checks eigh's ascending
+    eigenvalues w and columns U of each Hermitian part H by the Gram
+    residual ||U*U - 1|| <= ``DEFAULT_TOL`` (which bounds every defect of a
+    projection family by DEFAULT_TOL (1 + DEFAULT_TOL)) and the
+    reconstruction residual ||U diag(w) U* - H|| <= tol max(1, max |w|).
+    """
+    Xh = np.conjugate(X).swapaxes(-1, -2)
+    defect = _checked_norm((X - Xh) / 2.0, tol)
+    if defect > tol:
+        raise InvariantViolation(
+            f"spectral_decompose requires Hermitian input: anti-Hermitian part norm {defect:.3e}")
+    H = (X + Xh) / 2.0
+    vals, vecs = np.linalg.eigh(H)
+    vh = np.conjugate(vecs).swapaxes(-1, -2)
+    gram = _checked_norm(vh @ vecs - np.eye(vals.shape[-1]), DEFAULT_TOL)
+    if gram > DEFAULT_TOL:
+        raise InvariantViolation(f"eigenvectors not orthonormal: ||V*V - 1|| = {gram:.3e}")
+    scale = tol * max(1.0, float(np.abs(vals).max(initial=0.0)))
+    r = _checked_norm((vecs * vals[..., None, :]) @ vh - H, scale)
+    if r > scale:
+        raise InvariantViolation(f"eigenvectors do not reconstruct the operator: residual {r:.3e}")
+    return vals, vecs
+
+
+def _chained_clusters(vals: np.ndarray, weights: np.ndarray, degeneracy_tol: float):
+    """Mask of the ascending ``vals`` that open a cluster, and the
+    ``weights``-weighted mean of each; a gap above ``degeneracy_tol`` opens one."""
+    opens = np.concatenate(([True], vals[1:] - vals[:-1] > degeneracy_tol))
+    starts = np.flatnonzero(opens)
+    means = vals[starts]
+    ends = [*starts[1:].tolist(), len(vals)] if len(starts) < len(vals) else ()
+    for j, (a, b) in enumerate(zip(starts.tolist(), ends)):
+        if b - a > 1:
+            means[j] = (vals[a:b] * weights[a:b]).sum() / weights[a:b].sum()
+    return opens, means
+
+
 def spectral_decompose(X: np.ndarray,
                        degeneracy_tol: float = DEGENERACY_TOL,
                        tol: float = DEFAULT_TOL) -> SpectralDecomposition:
@@ -282,28 +320,9 @@ def spectral_decompose(X: np.ndarray,
     into a single cluster carrying one projection.  Non-Hermitian input is
     rejected with the norm of its anti-Hermitian part as diagnostic.
     """
-    X = as_operator(X)
-    defect = _checked_norm((X - adjoint(X)) / 2.0, tol)
-    if defect > tol:
-        raise InvariantViolation(
-            f"spectral_decompose requires Hermitian input: anti-Hermitian part norm {defect:.3e}")
-    # eigh returns ascending eigenvalues and orthonormal columns
-    H = (X + adjoint(X)) / 2.0
-    vals, vecs = np.linalg.eigh(H)
-    gram = _checked_norm(adjoint(vecs) @ vecs - np.eye(len(vals)), DEFAULT_TOL)
-    if gram > DEFAULT_TOL:
-        raise InvariantViolation(f"eigenvectors not orthonormal: ||V*V - 1|| = {gram:.3e}")
-    scale = tol * max(1.0, float(np.abs(vals).max(initial=0.0)))
-    r = _checked_norm((vecs * vals) @ adjoint(vecs) - H, scale)
-    if r > scale:
-        raise InvariantViolation(f"eigenvectors do not reconstruct the operator: residual {r:.3e}")
-    # chained clusters: a new one starts wherever a gap exceeds degeneracy_tol
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(vals) > degeneracy_tol) + 1))
-    ends = np.append(starts[1:], len(vals))
-    eigenvalues = vals[starts]
-    for j in np.flatnonzero(ends - starts > 1):
-        eigenvalues[j] = np.mean(vals[starts[j]:ends[j]])
-    return SpectralDecomposition._from_eigh(eigenvalues, vecs, starts)
+    (vals,), (vecs,) = _checked_eigh(as_operator(X)[None], tol)
+    opens, eigenvalues = _chained_clusters(vals, np.ones(len(vals)), degeneracy_tol)
+    return SpectralDecomposition._from_eigh(eigenvalues, vecs, np.flatnonzero(opens))
 
 
 class DensityState:

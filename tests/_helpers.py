@@ -17,7 +17,7 @@ from qevents import (DEFAULT_TOL, DEGENERACY_TOL, RANK_RCOND, SPAN_TOL, BranchRe
                      DensityState, DetectionVerdict, EventRecord, FiniteAlgebra,
                      InvariantViolation, PartitionOfUnity, TrajectoryResult, adjoint,
                      ambient_representative, antihermitian_defect, centralizer, contains,
-                     expect_onto_center, operator_norm, spectral_decompose, substream)
+                     operator_norm, spectral_decompose, substream)
 from qevents.events import _ambient, _detect, _resolve_policy, _sample_paths, _weight_gap
 from qevents.histories import enumerate_protocols, lsw_probability
 from qevents.mesoscopic import _lgamma, _log_posterior_rows, _logsumexp, _xlogy
@@ -269,7 +269,7 @@ def reference_centralizer(ambient: FiniteAlgebra, state: DensityState) -> Refere
     nullspace of A -> [Q, A] on the ambient span (Q the state's in-span
     representative), its center comes from ``reference_center`` and the
     atoms from ``reference_minimal_projections``.  Duck-types as a report
-    for ``expect_onto_center``.
+    for ``reference_detect``.
     """
     Q = ambient_representative(ambient, state)
     d = ambient.dim
@@ -301,21 +301,45 @@ def reference_pinched_centralizer(ambient: FiniteAlgebra, state: DensityState) -
     return FiniteAlgebra.from_span(pinched, dim=ambient.dim)
 
 
+def reference_expect_onto_center(state, A, atoms, tol=DEFAULT_TOL):
+    """sum_a c_a z_a over dense atoms z_a, with c_a = phi(z_a A z_a) / phi(z_a).
+
+    The oracle for ``expect_onto_center``: atoms the state gives no weight
+    (phi(z_a) <= tol) take the normalized trace instead.  Returns the
+    d x d result with the coefficients, weights and fallback atoms.
+    """
+    out = np.zeros_like(A, dtype=complex)
+    coeffs, weights, fallback = [], [], []
+    for j, z in enumerate(atoms):
+        w = float(np.real(state.expect(z)))
+        block = z @ A @ z
+        if w > tol:
+            c = complex(state.expect(block)) / w
+        else:
+            fallback.append(j)
+            c = complex(np.trace(block)) / float(np.real(np.trace(z)))
+        out += c * z
+        coeffs.append(c)
+        weights.append(w)
+    return out, tuple(coeffs), tuple(weights), tuple(fallback)
+
+
 def reference_detect(state, partition, time, restriction, report,
                      safety=0.5, tol=DEFAULT_TOL) -> DetectionVerdict:
     """The event criterion by the dense path, one projection at a time.
 
-    The oracle for detection on factor ambients: each CE(P) is formed as a
-    d x d matrix by the public ``expect_onto_center`` over the report's
-    dense atoms, and the distance is ``operator_norm(CE(P) - P)``.
+    The oracle for detection: each CE(P) is formed as a d x d matrix by
+    ``reference_expect_onto_center`` over the dense atoms
+    ``report.central_projections`` (of a report, or of
+    ``reference_centralizer``), and the distance is ``operator_norm(CE(P) - P)``.
     """
     for P in partition.projections:
         ok, r = contains(restriction, P, SPAN_TOL)
         if not ok:
             raise InvariantViolation(
                 f"partition not inside the restriction algebra at time {time}: residual {r:.3e}")
-    distance = max(operator_norm(expect_onto_center(restriction, state, P, report=report,
-                                                    check_ambient=False) - P)
+    atoms = report.central_projections
+    distance = max(operator_norm(reference_expect_onto_center(state, P, atoms)[0] - P)
                    for P in partition.projections)
     gap = _weight_gap(state, partition)
     admissible = partition.size >= 2 and gap > tol

@@ -9,14 +9,15 @@ import qevents.algebras
 import qevents.centralizers
 from qevents import (DEGENERACY_TOL, DensityState, HeisenbergFrame,
                      InvariantViolation, PartitionOfUnity,
-                     ambient_representative, centralizer, contains, diagonal_algebra,
-                     equal_span, expect_onto_center, expect_onto_centralizer,
+                     ambient_representative, centralizer, contains, detect_event,
+                     diagonal_algebra, equal_span, expect_onto_center, expect_onto_centralizer,
                      full_matrix_algebra, generate_algebra, incoherence_defect,
                      operator_norm, run_trajectory)
 
 from _helpers import (block_algebra, in_tensor_block, random_density, random_hermitian,
                       random_partition, random_unitary, reference_centralizer,
-                      reference_pinched_centralizer, rng, run_capped, tensor_ambient,
+                      reference_expect_onto_center, reference_pinched_centralizer,
+                      reference_validate_projection_family, rng, run_capped, tensor_ambient,
                       tensor_state)
 
 M2 = full_matrix_algebra(2)
@@ -239,7 +240,7 @@ class TestClosedFormAgainstGenericOracle:
         A = sum(c * B for c, B in zip(coeff, ambient.basis))
         for X in (A, A.conj().T @ A, np.eye(dim, dtype=complex)):
             fast = expect_onto_center(ambient, state, X, report=rep, check_ambient=False)
-            slow = expect_onto_center(ambient, state, X, report=ref, check_ambient=False)
+            slow = reference_expect_onto_center(state, X, ref.central_projections)[0]
             assert operator_norm(fast - slow) <= 1e-9
 
         assert equal_span(rep.centralizer, ref.centralizer)[0]
@@ -275,8 +276,16 @@ class TestNearDegenerateStates:
 
 class TestClosedFormCost:
     def test_detection_skips_the_generic_path(self, monkeypatch):
-        ambient = block_algebra()
-        ambient.minimal_central_projections   # once per ambient, not per state
+        gen = rng(89)
+        cases = []
+        for ambient in (block_algebra(), full_matrix_algebra(3), diagonal_algebra(3),
+                        tensor_ambient(gen, 2, 2, scalars=1)):
+            ambient.minimal_central_projections   # once per ambient, not per state
+            (n, m), d = ambient.blocks[0], ambient.dim
+            P = in_tensor_block(ambient, np.diag(np.arange(n) == 0), np.zeros(d - n * m))
+            part = PartitionOfUnity((0, 1), (P, np.eye(d) - P))
+            frame = HeisenbergFrame((1.0,), None, ((part,),), (ambient,))
+            cases.append((ambient, frame, part, random_density(gen, ambient.dim)))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("generic commutant/center path used")
@@ -284,9 +293,13 @@ class TestClosedFormCost:
         for name in ("commutant", "center", "minimal_projections"):
             monkeypatch.setattr(qevents.algebras, name, forbidden)
         monkeypatch.setattr(qevents.centralizers, "minimal_projections", forbidden)
-        state = random_density(rng(89), 3)
-        assert len(centralizer(ambient, state).central_projections) == 3
-        assert len(centralizer(full_matrix_algebra(3), state).central_projections) == 3
+        # the pairwise family check and the dense eigh of Q
+        for module in (qevents.operators, qevents.centralizers):
+            for name in ("validate_projection_family", "spectral_decompose"):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
+        for ambient, frame, part, state in cases:
+            assert len(centralizer(ambient, state).central_projections) == 3
+            assert detect_event(frame, state, 1.0, part).admissible
 
     def test_dimension_16_stays_small(self):
         ambient = full_matrix_algebra(16)
@@ -333,23 +346,49 @@ class TestClosedFormCentralizer:
                              [(3e-9, 0.2 + 1.5e-9, 6, 3), (1e-7, 0.35, 4, 4)])
     def test_clusters_merged_within_degeneracy_tol(self, gap, scalar, cent_dim, atoms):
         # eigenvalues 0.2, 0.2 + gap, 0.5 in M_3 (x) 1_2 and ``scalar`` on C:
-        # below DEGENERACY_TOL those near 0.2 chain into one cluster
+        # below DEGENERACY_TOL those near 0.2 chain into one cluster, which
+        # commutes with the clustered representative Qbar, not with Q itself
+        for seed in range(100, 140):
+            gen = rng(seed)
+            ambient = tensor_ambient(gen, 3, 2, scalars=1)
+            U = random_unitary(gen, 3)
+            q = U @ np.diag([0.2, 0.2 + gap, 0.5]) @ U.conj().T
+            Q = in_tensor_block(ambient, q, [scalar])
+            state = DensityState(Q / np.trace(Q).real)
+            rep = centralizer(ambient, state)
+            assert rep.centralizer.algebra_dim == cent_dim
+            assert len(rep.central_projections) == rep.center.algebra_dim == atoms
+            Q = ambient_representative(ambient, state)
+            Qbar = rep.state_spectral.reconstruct()
+            spread = operator_norm(Q - Qbar)
+            for B in rep.centralizer.basis:
+                assert contains(ambient, B)[0]
+                assert operator_norm(Qbar @ B - B @ Qbar) <= 1e-9
+                # [Q, B] = [Q - Qbar, B]
+                assert operator_norm(Q @ B - B @ Q) <= 2 * spread * operator_norm(B) + 1e-15
+            if gap < DEGENERACY_TOL:
+                # reference_centralizer's rank cutoff (1e-10) keeps merged eigenvalues apart
+                pinched = reference_pinched_centralizer(ambient, state)
+                assert equal_span(rep.centralizer, pinched)[0]
+
+    def test_near_degeneracy_across_blocks(self):
+        # 0.2 + 5e-8 on C lies between two eigenvalues of the M_3 (x) 1_2 block,
+        # 5e-8 from each: four clusters, and no eigenvector mixes the blocks
+        # (one eigh of Q mixed them by about eps / gap, and the atoms it formed
+        # failed the family check: "projection 0 not Hermitian: defect 1.077e-09")
         gen = rng(113)
         ambient = tensor_ambient(gen, 3, 2, scalars=1)
         U = random_unitary(gen, 3)
-        q = U @ np.diag([0.2, 0.2 + gap, 0.5]) @ U.conj().T
-        Q = in_tensor_block(ambient, q, [scalar])
+        Q = in_tensor_block(ambient, U @ np.diag([0.2, 0.2 + 1e-7, 0.5]) @ U.conj().T,
+                            [0.2 + 5e-8])
         state = DensityState(Q / np.trace(Q).real)
         rep = centralizer(ambient, state)
-        assert rep.centralizer.algebra_dim == cent_dim
-        assert len(rep.central_projections) == rep.center.algebra_dim == atoms
+        assert rep.centralizer.blocks == ((1, 2), (1, 2), (1, 2), (1, 1))
+        reference_validate_projection_family(rep.central_projections)
         Q = ambient_representative(ambient, state)
-        for B in rep.centralizer.basis:
-            assert contains(ambient, B)[0]
-            assert operator_norm(Q @ B - B @ Q) <= 1e-9
-        if gap < DEGENERACY_TOL:
-            # reference_centralizer's rank cutoff (1e-10) keeps merged eigenvalues apart
-            assert equal_span(rep.centralizer, reference_pinched_centralizer(ambient, state))[0]
+        for z in rep.central_projections:
+            assert contains(ambient, z)[0]
+            assert operator_norm(Q @ z - z @ Q) <= 1e-13
 
     def test_full_access_at_dimension_64_takes_milliseconds(self):
         # the pinched-span construction grew like d^6 (0.21 s at d = 24)
