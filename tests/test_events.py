@@ -526,6 +526,8 @@ class TestDetectionAcrossAmbients:
                 _assert_same_verdict(v, reference_detect(state, p, t, ambient, oracle))
                 _assert_same_verdict(detect_event(frame, state, t, p), v)
 
+
+class TestFactorDetection:
     @pytest.mark.parametrize("m", [2, 3])
     def test_partition_outside_the_restriction_raises_at_detection(self, m):
         gen = rng(127)
