@@ -207,15 +207,16 @@ def expect_onto_centralizer(ambient: FiniteAlgebra, state: DensityState,
                             return_info: bool = False):
     """Pinching conditional expectation onto the centralizer of the state.
 
-    Sums P_j A P_j over the clustered eigenprojections of the state's
-    in-span representative.  The result lies in the ambient span; it is
-    re-projected onto the span if rounding pushed it out, with the residual
-    reported via ``return_info``.
+    Sums E_l A E_l over the clustered eigenprojections E_l of the state's
+    in-span representative, in its eigenbasis F: F (M o F*AF) F*, with
+    M[x, y] = 1 where columns x and y of F share a cluster and 0 elsewhere.
+    The result lies in the ambient span; it is re-projected onto the span if
+    rounding pushed it out, with the residual reported via ``return_info``.
     """
     A, report = _operand_and_report(ambient, state, A, tol, report, check_ambient)
-    out = np.zeros_like(A)
-    for P in report.state_spectral.projections:
-        out += P @ A @ P
+    F, Fh = report.frame, adjoint(report.frame)
+    cluster = report.clusters[report.atoms]
+    out = F @ np.where(cluster[:, None] == cluster[None, :], Fh @ A @ F, 0.0) @ Fh
     projected, residual = ambient.project(out)
     if residual > 1e-14:
         out = projected

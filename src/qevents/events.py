@@ -65,7 +65,9 @@ class HeisenbergFrame:
 
     Derived data is cached on the instance with ``functools.cached_property``:
     ``full_ambient``, and ``propagators`` when given as None (one shared,
-    read-only identity matrix, materialized on first read).
+    read-only identity matrix, materialized on first read).  The restriction
+    check of each of the frame's own candidates is cached in a dict keyed by
+    (time index, candidate index), filled by ``_outside_restriction``.
     """
 
     def __init__(self, times, propagators, partitions, restrictions):
@@ -130,6 +132,7 @@ class HeisenbergFrame:
                 raise InvariantViolation(
                     f"restriction algebras not nested at time {times[k + 1]}: residual {r:.3e}")
         self.restrictions = restr
+        self._restriction_checks: dict[tuple[int, int], float | None] = {}
 
     @cached_property
     def propagators(self) -> tuple[np.ndarray, ...]:
@@ -204,6 +207,28 @@ class HeisenbergFrame:
         else:
             restr = tuple(restrictions)
         return cls(times, props, per_time, restr)
+
+    def _outside_restriction(self, k: int, partition: PartitionOfUnity) -> float | None:
+        """Residual of the partition's first projection outside the restriction
+        at step k, or None if every projection lies inside.
+
+        Cached for the frame's own candidates at step k, recognized by
+        identity; any other partition is checked again on every call, so the
+        cache holds at most one entry per candidate.
+        """
+        key = next(((k, i) for i, c in enumerate(self.partitions[k]) if c is partition), None)
+        if key in self._restriction_checks:
+            return self._restriction_checks[key]
+        restriction = _ambient(self, k)
+        residual = None
+        for P in partition.projections:
+            ok, r = contains(restriction, P, SPAN_TOL)
+            if not ok:
+                residual = r
+                break
+        if key is not None:
+            self._restriction_checks[key] = residual
+        return residual
 
     def index_of(self, time) -> int:
         t = float(time)
@@ -281,14 +306,14 @@ def _weight_gap(state: DensityState, partition: PartitionOfUnity) -> float:
     return min(abs(a - b) for i, a in enumerate(w) for b in w[i + 1:])
 
 
-def _detect(state: DensityState, partition: PartitionOfUnity, time: float,
-            restriction: FiniteAlgebra, report: CentralizerReport,
+def _detect(frame: HeisenbergFrame, k: int, state: DensityState,
+            partition: PartitionOfUnity, report: CentralizerReport,
             safety: float, tol: float) -> DetectionVerdict:
-    for P in partition.projections:
-        ok, r = contains(restriction, P, SPAN_TOL)
-        if not ok:
-            raise InvariantViolation(
-                f"partition not inside the restriction algebra at time {time}: residual {r:.3e}")
+    time = frame.times[k]
+    r = frame._outside_restriction(k, partition)
+    if r is not None:
+        raise InvariantViolation(
+            f"partition not inside the restriction algebra at time {time}: residual {r:.3e}")
     distance = _center_distance(report, state, partition.stack)
     gap = _weight_gap(state, partition)
     admissible = partition.size >= 2 and gap > tol
@@ -320,10 +345,8 @@ def detect_event(frame: HeisenbergFrame, state: DensityState, time,
 def _verdicts(frame: HeisenbergFrame, k: int, state: DensityState, candidates,
               safety: float, tol: float) -> list[DetectionVerdict]:
     """``_detect`` for each candidate at frame time k, on one centralizer report."""
-    restriction = _ambient(frame, k)
-    report = centralizer(restriction, state)
-    return [_detect(state, p, frame.times[k], restriction, report, safety, tol)
-            for p in candidates]
+    report = centralizer(_ambient(frame, k), state)
+    return [_detect(frame, k, state, p, report, safety, tol) for p in candidates]
 
 
 @dataclass(frozen=True, eq=False)
@@ -474,9 +497,9 @@ def _sample_paths(frame: HeisenbergFrame, initial: DensityState, samples: int,
     if not require_detection and any(len(c) != 1 for c in frame.partitions[:steps]):
         raise ValueError("unconditional stepping needs exactly one candidate per time")
 
-    pending = [(0, initial.matrix, np.arange(samples), ())]
+    pending = [(0, initial.matrix, np.arange(samples), (), (), 0)]
     while pending:
-        k, rho, members, log = pending.pop()
+        k, rho, members, log, history, fired = pending.pop()
         if k == steps:
             herm = float(np.linalg.norm(rho - rho.conj().T))
             drift = abs(float(rho.trace().real) - 1.0)
@@ -484,8 +507,6 @@ def _sample_paths(frame: HeisenbergFrame, initial: DensityState, samples: int,
                 raise InvariantViolation(
                     "trajectory state left the density-matrix manifold "
                     f"(hermiticity defect {herm:.3e}, trace drift {drift:.3e})")
-            history = tuple(EventRecord(b.time, b.outcome, b.probability, True)
-                            for b in log if b.recorded)
             yield _Path(members, history, log, rho)
             continue
         t = frame.times[k]
@@ -498,7 +519,7 @@ def _sample_paths(frame: HeisenbergFrame, initial: DensityState, samples: int,
                 skipped = BranchRecord(t, False, any(v.admissible for v in verdicts),
                                        min(v.distance for v in verdicts),
                                        None, None, None, False)
-                pending.append((k + 1, rho, members, log + (skipped,)))
+                pending.append((k + 1, rho, members, log + (skipped,), history, fired))
                 continue
             if len(firing) > 1 and firing[1].distance - firing[0].distance <= 1e-12:
                 logger.debug("candidate tie at time %s: margin %.3e", t,
@@ -510,12 +531,11 @@ def _sample_paths(frame: HeisenbergFrame, initial: DensityState, samples: int,
 
         stack = partition.stack
         weights = np.einsum("ab,nba->n", rho, stack).real
-        np.clip(weights, 0.0, None, out=weights)
+        np.maximum(weights, 0.0, out=weights)
         cum = np.cumsum(weights)
         total = cum[-1]
         if total <= 0.0:
             raise InvariantViolation(f"total branch weight vanished at time {t}")
-        fired = sum(b.fired for b in log)
         idx = np.searchsorted(cum, draw(members, fired) * total, side="right")
         np.minimum(idx, len(cum) - 1, out=idx)
         recorded = bool(should_record(t))
@@ -524,11 +544,16 @@ def _sample_paths(frame: HeisenbergFrame, initial: DensityState, samples: int,
         children = []
         for j in np.flatnonzero(np.bincount(idx)).tolist():
             p = float(weights[j] / total)
+            label = partition.labels[j]
             entry = BranchRecord(t, True,
                                  verdict.admissible if verdict else None,
                                  verdict.distance if verdict else None,
                                  verdict.threshold if verdict else None,
-                                 partition.labels[j], p, recorded)
-            child = stack[j] @ rho @ stack[j] / weights[j] if recorded else dephased
-            children.append((k + 1, child, members[idx == j], log + (entry,)))
+                                 label, p, recorded)
+            if recorded:
+                child = stack[j] @ rho @ stack[j] / weights[j]
+                events = history + (EventRecord(t, label, p, True),)
+            else:
+                child, events = dephased, history
+            children.append((k + 1, child, members[idx == j], log + (entry,), events, fired + 1))
         pending.extend(reversed(children))

@@ -25,6 +25,9 @@ logger = logging.getLogger(__name__)
 
 MAX_TREE_LEAVES = 10 ** 6
 
+#: numbers one chunk of the exact walk's children may hold; bounds its memory
+_CHUNK_ELEMENTS = 1 << 12
+
 __all__ = [
     "MeasurementProtocol",
     "ConsistencyReport",
@@ -131,41 +134,63 @@ def enumerate_protocols(frame: HeisenbergFrame, steps: int) -> list[MeasurementP
 
 def _walk_outcome_tree(frame: HeisenbergFrame, initial: DensityState, steps: int,
                        visit: Callable[[tuple, float], None]) -> float:
-    """Walk the outcome tree over the first ``steps`` times depth first.
+    """Walk the outcome tree over the first ``steps`` times, a chunk of nodes at a time.
 
     Each node's state is ``P @ sigma @ P`` of its parent's, from the root
     ``initial.matrix``: the products ``lsw_probability`` takes, on the
     diagonals alone when the state and every partition walked are diagonal.
-    A node's mass is the real trace of its state (1.0 at the root).  Children
-    come in label order, so ``visit(outcomes, mass)`` sees the leaves in
-    ``itertools.product`` order.  Returns the largest gap between an inner
-    node's mass and the sum of its children's.
+    A node's mass is the real trace of its state (1.0 at the root).
+
+    A chunk of G nodes at step k becomes its G * m children in one stacked
+    product ``F @ sigma @ F`` over the (m, d, d) projections F of step k
+    (elementwise on diagonals), with one batched trace for their masses.
+    The children are cut into chunks again and pushed depth first, so
+    ``visit(outcomes, mass)`` sees the leaves in ``itertools.product``
+    order.  A chunk's children hold at most ``_CHUNK_ELEMENTS`` numbers
+    (one node each if a node is larger), and one array of children is alive
+    per step, whatever the number of leaves.  Returns the largest gap
+    between an inner node's mass and the sum of its children's, summed left
+    to right from 0.0 in label order.
     """
     _label_sets(frame, steps)
+    if steps == 0:
+        visit((), 1.0)
+        return 0.0
     partitions = [frame.partitions[k][0] for k in range(steps)]
     diagonal = (initial.diagonal is not None
                 and all(p.diagonals is not None for p in partitions))
     if diagonal:
-        root, families = initial.diagonal, [p.diagonals for p in partitions]
+        root, families = initial.diagonal, [p.diagonals[None] for p in partitions]
     else:
-        root, families = initial.matrix, [p.projections for p in partitions]
-    max_marginal = 0.0
-
-    def walk(k: int, outcomes: tuple, sigma: np.ndarray, mass: float):
-        nonlocal max_marginal
-        if k == steps:
-            visit(outcomes, mass)
-            return
-        child_sum = 0.0
-        for label, P in zip(partitions[k].labels, families[k]):
-            child = P * sigma * P if diagonal else P @ sigma @ P
-            child_mass = float(np.real(np.sum(child) if diagonal else np.trace(child)))
-            child_sum += child_mass
-            walk(k + 1, outcomes + (label,), child, child_mass)
-        max_marginal = max(max_marginal, abs(child_sum - mass))
-
-    walk(0, (), root, 1.0)
-    return max_marginal
+        root, families = initial.matrix, [p.stack[None] for p in partitions]
+    gap = 0.0
+    pending = [(0, [()], root[None], [1.0])]
+    while pending:
+        k, outcomes, sigma, masses = pending.pop()
+        F = families[k]
+        if diagonal:
+            children = F * sigma[:, None]
+            children *= F
+            rows = children.sum(axis=2).real.tolist()
+        else:
+            children = F @ sigma[:, None] @ F
+            rows = children.trace(axis1=2, axis2=3).real.tolist()
+        for mass, row in zip(masses, rows):
+            total = 0.0
+            for child_mass in row:
+                total += child_mass
+            gap = max(gap, abs(total - mass))
+        outcomes = [prefix + (label,) for prefix in outcomes for label in partitions[k].labels]
+        masses = [mass for row in rows for mass in row]
+        if k + 1 == steps:
+            for leaf, mass in zip(outcomes, masses):
+                visit(leaf, mass)
+            continue
+        children = children.reshape(-1, *root.shape)
+        g = max(1, _CHUNK_ELEMENTS // families[k + 1][0].size)
+        for a in reversed(range(0, len(outcomes), g)):
+            pending.append((k + 1, outcomes[a:a + g], children[a:a + g], masses[a:a + g]))
+    return gap
 
 
 @dataclass(frozen=True)

@@ -301,6 +301,20 @@ def reference_pinched_centralizer(ambient: FiniteAlgebra, state: DensityState) -
     return FiniteAlgebra.from_span(pinched, dim=ambient.dim)
 
 
+def reference_expect_onto_centralizer(ambient: FiniteAlgebra, state: DensityState,
+                                      A: np.ndarray) -> np.ndarray:
+    """sum_l E_l A E_l over the report's dense clustered eigenprojections E_l.
+
+    The oracle for ``qevents.expect_onto_centralizer``, which pinches in the
+    report's eigenbasis: O(k d^3) for k clusters.  Re-projected onto the
+    ambient span when rounding (or an A outside the span) leaves it, as the
+    fast path does.
+    """
+    out = sum(E @ A @ E for E in centralizer(ambient, state).state_spectral.projections)
+    projected, residual = ambient.project(out)
+    return projected if residual > 1e-14 else out
+
+
 def reference_expect_onto_center(state, A, atoms, tol=DEFAULT_TOL):
     """sum_a c_a z_a over dense atoms z_a, with c_a = phi(z_a A z_a) / phi(z_a).
 
@@ -365,10 +379,8 @@ def reference_trajectory(frame, initial, safety=0.5, record_policy="always", rng
         state_k = DensityState(rho, validate=False)
         verdict = None
         if require_detection:
-            restriction = _ambient(frame, k)
-            report = centralizer(restriction, state_k)
-            verdicts = [_detect(state_k, p, t, restriction, report, safety, tol)
-                        for p in candidates]
+            report = centralizer(_ambient(frame, k), state_k)
+            verdicts = [_detect(frame, k, state_k, p, report, safety, tol) for p in candidates]
             firing = [v for v in verdicts if v.happened]
             if not firing:
                 branch.append(BranchRecord(t, False, any(v.admissible for v in verdicts),

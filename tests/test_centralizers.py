@@ -16,7 +16,8 @@ from qevents import (DEGENERACY_TOL, DensityState, HeisenbergFrame,
 
 from _helpers import (block_algebra, in_tensor_block, random_density, random_hermitian,
                       random_partition, random_unitary, reference_centralizer,
-                      reference_expect_onto_center, reference_pinched_centralizer,
+                      reference_expect_onto_center, reference_expect_onto_centralizer,
+                      reference_pinched_centralizer,
                       reference_validate_projection_family, rng, run_capped, tensor_ambient,
                       tensor_state)
 
@@ -132,6 +133,38 @@ class TestConditionalExpectations:
             gap = expect_onto_centralizer(ambient, state, A.conj().T @ A, report=rep) \
                 - E.conj().T @ E
             assert np.linalg.eigvalsh((gap + gap.conj().T) / 2).min() > -1e-8
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["full", "diagonal", "tensor"]), n=st.integers(1, 4),
+           m=st.integers(1, 3), levels=st.integers(1, 3), jitter=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_pinching_in_the_eigenbasis_matches_the_dense_sum(self, kind, n, m, levels,
+                                                              jitter, seed):
+        # Q's eigenvalues come from a few levels, so clusters merge inside a
+        # block and across blocks; with jitter they merge within
+        # DEGENERACY_TOL instead of up to rounding
+        gen = rng(seed)
+        if kind == "full":
+            ambient, size, rest = full_matrix_algebra(n * m), n * m, 0
+        elif kind == "diagonal":
+            ambient, size, rest = diagonal_algebra(n * m), 1, n * m - 1
+        else:
+            ambient, size, rest = tensor_ambient(gen, n, m, scalars=1), n, 1
+        pool = 0.1 + gen.random(levels)
+        values = gen.choice(pool, size + rest) + jitter * 1e-10 * gen.random(size + rest)
+        U = random_unitary(gen, size)
+        q = U @ np.diag(values[:size]) @ U.conj().T
+        state = tensor_state(gen, ambient, q, values[size:])
+        d = ambient.dim
+        X = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+        A = ambient.project(X)[0]
+        for Y, inside in ((A / operator_norm(A), True), (X / operator_norm(X), False)):
+            fast, info = expect_onto_centralizer(ambient, state, Y, check_ambient=inside,
+                                                 return_info=True)
+            slow = reference_expect_onto_centralizer(ambient, state, Y)
+            assert operator_norm(fast - slow) <= 1e-12
+            if inside:
+                assert info.ambient_residual <= 1e-12
 
     def test_operator_outside_ambient_rejected(self):
         with pytest.raises(InvariantViolation, match="ambient"):

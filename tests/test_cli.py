@@ -270,6 +270,20 @@ class TestTrajectoryGolden:
         assert [(row["outcome"], row["count"]) for row in out["histogram"]] == expected
 
 
+class TestLswGolden:
+    """sha256 of `qevents lsw --check-consistency` JSON, pinned from the per-node tree walk."""
+
+    @pytest.mark.parametrize("name,digest", [
+        ("hadamard3.json", "d2d02959c412a2a79410b25db3a57ee5498e979db6432bd55ec3800a69a8ebff"),
+        ("diagonal_model.json",
+         "0076a710ecb1170b5ac38442c33208b97e29fe718c12fc84e85852f6fa4351a6"),
+    ])
+    def test_output_digest(self, capsys, name, digest):
+        cfg = str(CONFIGS / name)
+        assert cli.main(["lsw", "--check-consistency", "--config", cfg]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 class TestMesoscopicGolden:
     """sha256 of `qevents mesoscopic` JSON, pinned from the eager outcome-matrix sampler."""
 

@@ -11,6 +11,7 @@ from qevents import (DensityState, FiniteAlgebra, HeisenbergFrame,
                      centralizer, collapse, contains, detect_event, diagonal_algebra,
                      earliest_event, expect_onto_center, full_matrix_algebra, operator_norm,
                      run_trajectory, substream, unrecorded_update)
+import qevents.events
 from qevents.events import _sample_paths
 
 from _helpers import (in_tensor_block, outcome, random_density, random_partition,
@@ -539,6 +540,44 @@ class TestFactorDetection:
         want = outcome(reference_detect, state, part, 1.0, ambient, centralizer(ambient, state))
         assert got[0] is InvariantViolation and got == want
         assert "partition not inside the restriction algebra at time 1.0" in got[1]
+
+
+class TestRestrictionCheckCache:
+    def test_each_candidate_projection_is_checked_once_per_frame(self, monkeypatch):
+        checked = []
+        real = qevents.events.contains
+
+        def spy(algebra, X, tol):
+            checked.append(id(X))
+            return real(algebra, X, tol)
+
+        monkeypatch.setattr(qevents.events, "contains", spy)
+        gen = rng(131)
+        frame, state = _random_frame(gen, 3, 2, 4, "diagonal", 2, "random")
+        for seed in range(4):
+            run_trajectory(frame, state, rng_seed=seed)
+        # the step propagator gives every (time, candidate) its own projections
+        own = [id(P) for candidates in frame.partitions for c in candidates
+               for P in c.projections]
+        assert sorted(checked) == sorted(own)
+
+        # a partition that is not one of the frame's candidates is checked on every call
+        outside = random_partition(gen, 3, 2, rotate=False)
+        checked.clear()
+        for _ in range(2):
+            detect_event(frame, state, 1.0, outside)
+        assert len(checked) == 2 * outside.size
+
+    def test_a_cached_failure_raises_on_every_call(self, monkeypatch):
+        gen = rng(127)
+        ambient = tensor_ambient(gen, 2, 2)
+        part = random_partition(gen, 4, 2)
+        frame = HeisenbergFrame((1.0,), None, ((part,),), (ambient,))
+        state = random_density(gen, 4)
+        first = outcome(detect_event, frame, state, 1.0, part)
+        monkeypatch.setattr(qevents.events, "contains", None)
+        assert first[0] is InvariantViolation
+        assert outcome(detect_event, frame, state, 1.0, part) == first
 
 
 def _generic_full_access(d, seed):

@@ -1,13 +1,17 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qevents import (DensityState, HeisenbergFrame, MeasurementProtocol,
                      PartitionOfUnity, commuting_realization, consistency_check,
                      DeFinettiModel, detect_event, enumerate_protocols,
                      exact_protocol_probability,
                      lsw_probability, operator_norm, sampler_vs_measure)
+import qevents.histories
 from qevents.histories import _clamp, _walk_outcome_tree
 
 from _helpers import (random_density, random_unitary, reference_outcome_tree,
@@ -186,9 +190,71 @@ class TestExactMeasureWalk:
         assert list(exact) == [p.outcomes for p in protocols]
         assert list(exact.values()) == [lsw_probability(frame, state, p) for p in protocols]
 
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(dim=st.integers(1, 5), outcomes=st.integers(1, 3), steps=st.integers(0, 6),
+           static=st.booleans(), chunk=st.sampled_from([None, 1, 50]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_per_node_oracle_bit_for_bit(self, dim, outcomes, steps, static,
+                                                     chunk, seed):
+        # ``static``: no propagator and a state without weight on outcome 0,
+        # so the tree has zero-mass branches; ``chunk`` shrinks the element
+        # budget so that every level is cut into several chunks
+        gen = rng(seed)
+        m = min(outcomes, dim)
+        labels = gen.permutation(np.arange(dim) % m)
+        base = PartitionOfUnity(tuple(range(m)), tuple(
+            np.diag(labels == j).astype(complex) for j in range(m)))
+        times = tuple(float(k + 1) for k in range(max(steps, 1)))
+        if static:
+            weights = gen.random(dim) * (labels != 0) if m > 1 else np.ones(dim)
+            frame = HeisenbergFrame.build(times, base)
+            state = DensityState(np.diag(weights / weights.sum()).astype(complex))
+        else:
+            frame = HeisenbergFrame.build(times, base, step_propagator=random_unitary(gen, dim))
+            state = random_density(gen, dim)
+        leaves = {}
+        budget = qevents.histories._CHUNK_ELEMENTS if chunk is None else chunk
+        with mock.patch.object(qevents.histories, "_CHUNK_ELEMENTS", budget):
+            gap = _walk_outcome_tree(frame, state, steps,
+                                     lambda outcomes, mass: leaves.update({outcomes: mass}))
+        want, want_gap = reference_outcome_tree(frame, state, steps)
+        assert list(leaves.items()) == list(want.items())
+        assert gap == want_gap
+
     def test_too_many_steps_is_a_value_error(self):
         with pytest.raises(ValueError, match="steps requested"):
             consistency_check(static_frame(2), RHO_37, 3)
+
+    def test_4096_leaves_in_bounded_memory(self):
+        script = (
+            "import time, tracemalloc\n"
+            "import numpy as np\n"
+            "from qevents import DensityState, HeisenbergFrame, PartitionOfUnity, consistency_check\n"
+            "g = np.random.default_rng(3)\n"
+            "G = g.standard_normal((4, 4)) + 1j * g.standard_normal((4, 4))\n"
+            "S = np.linalg.qr(G)[0]\n"
+            "M = G @ G.conj().T\n"
+            "base = PartitionOfUnity.from_observable(np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex))\n"
+            "frame = HeisenbergFrame.build(tuple(float(k + 1) for k in range(12)), base,\n"
+            "                              step_propagator=S)\n"
+            "state = DensityState(M / np.trace(M).real)\n"
+            "tracemalloc.start()\n"
+            "t0 = time.perf_counter()\n"
+            "report = consistency_check(frame, state, 12)\n"
+            "elapsed = time.perf_counter() - t0\n"
+            "peak = tracemalloc.get_traced_memory()[1]\n"
+            "print(report.leaves, report.max_marginal_residual, report.normalization_residual,\n"
+            "      elapsed, peak)\n"
+        )
+        proc = run_capped(script)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        leaves, marginal, normalization, elapsed, peak = proc.stdout.split()
+        assert int(leaves) == 4096
+        assert float(marginal) < 1e-12 and float(normalization) < 1e-12
+        assert float(elapsed) < 10.0, f"4096-leaf consistency_check took {elapsed} s"
+        # one array of at most _CHUNK_ELEMENTS children per step, 12 x 64 kB;
+        # a level at a time would hold about 2.5 MB at the last two levels
+        assert float(peak) < 1.5 * 2 ** 20, f"tracemalloc peak {float(peak) / 2**20:.1f} MB"
 
 
 def dense_lsw(frame, state, protocol):
