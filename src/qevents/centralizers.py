@@ -151,18 +151,23 @@ def centralizer(ambient: FiniteAlgebra, state: DensityState,
                              eigenvalues)
 
 
-def _center_coefficients(report: CentralizerReport, state: DensityState,
+def _state_in_frame(report: CentralizerReport, state: DensityState) -> np.ndarray:
+    """R = F* rho F, the state in the report's frame: one per report and state."""
+    return adjoint(report.frame) @ state.matrix @ report.frame
+
+
+def _center_coefficients(report: CentralizerReport, R: np.ndarray,
                          stack: np.ndarray, tol: float = DEFAULT_TOL,
                          parts=(np.real, np.imag)):
     """Coefficients c of CE(P_j) = sum_a c_ja z_a for the (N, d, d) ``stack`` of P_j.
 
     In the frame F the atoms are diagonal blocks, so c_a = tr(R_a B_a) / w_a
-    for R = F* rho F, B = F* P F and w_a = tr R_a = phi(z_a), or tr B_a /
-    tr 1_a where w_a <= ``tol``.  Each of the ``parts`` (real, imaginary) is
-    summed and divided on its own; the others stay 0.  Returns c, B and w.
+    for R = F* rho F (``_state_in_frame``), B = F* P F and w_a = tr R_a =
+    phi(z_a), or tr B_a / tr 1_a where w_a <= ``tol``.  Each of the ``parts``
+    (real, imaginary) is summed and divided on its own; the others stay 0.
+    Returns c, B and w.
     """
     F, Fh, starts, label = report.frame, adjoint(report.frame), report.starts, report.atoms
-    R = Fh @ state.matrix @ F
     B = Fh @ stack @ F
     # tr(R_a B_a) sums R[x, y] B[y, x] over x and y in atom a
     cross = np.add.reduceat(R * B.transpose(0, 2, 1), starts, axis=2)
@@ -177,10 +182,11 @@ def _center_coefficients(report: CentralizerReport, state: DensityState,
     return c, B, w
 
 
-def _center_distance(report: CentralizerReport, state: DensityState,
+def _center_distance(report: CentralizerReport, R: np.ndarray,
                      stack: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    """max_j ||CE(P_j) - P_j||, by one batched eigvalsh of F* (CE(P) - P) F = diag(c) - B."""
-    c, B, _ = _center_coefficients(report, state, stack, tol, parts=(np.real,))
+    """max_j ||CE(P_j) - P_j||, by one batched eigvalsh of F* (CE(P) - P) F = diag(c) - B,
+    for R = ``_state_in_frame(report, state)``."""
+    c, B, _ = _center_coefficients(report, R, stack, tol, parts=(np.real,))
     H, diagonal = -B, np.arange(B.shape[-1])
     H[:, diagonal, diagonal] += c.real[:, report.atoms]
     return float(np.abs(np.linalg.eigvalsh(H)).max())
@@ -244,7 +250,7 @@ def expect_onto_center(ambient: FiniteAlgebra, state: DensityState,
     which atoms that happened on is reported via ``return_info``.
     """
     A, report = _operand_and_report(ambient, state, A, SPAN_TOL, report, check_ambient)
-    c, _, w = _center_coefficients(report, state, A[None], tol)
+    c, _, w = _center_coefficients(report, _state_in_frame(report, state), A[None], tol)
     out = (report.frame * c[0, report.atoms]) @ adjoint(report.frame)
     if return_info:
         return out, CenterExpectationInfo(tuple(c[0].tolist()), tuple(w.tolist()),

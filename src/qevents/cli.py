@@ -328,8 +328,12 @@ def cmd_trajectory(cfg: dict, seed: int):
     if policy not in ("always", "never"):
         raise ConfigError(f"run.record_policy must be 'always' or 'never', got {policy!r}")
     safety = _number(run.get("safety", 0.5), "run.safety")
-    require_detection = bool(run.get("require_detection", True))
+    require_detection = run.get("require_detection", True)
+    if not isinstance(require_detection, bool):
+        raise ConfigError(f"run.require_detection must be true or false, got {require_detection!r}")
     keep = _number(run.get("keep_histories", 10), "run.keep_histories", int)
+    if keep < 0:
+        raise ConfigError(f"run.keep_histories must be at least 0, got {keep!r}")
 
     # sample i keeps its own stream: its j-th event takes the j-th uniform of
     # substream(seed, i), whatever the other samples draw
@@ -342,10 +346,11 @@ def cmd_trajectory(cfg: dict, seed: int):
                               safety=safety, record_policy=policy,
                               require_detection=require_detection):
         n, lead = path.members.size, int(path.members[0])
-        for e, rec in enumerate(path.history):
-            counts[rec.outcome] = counts.get(rec.outcome, 0) + n
-            first[rec.outcome] = min(first.get(rec.outcome, (lead, e)), (lead, e))
-        events_total += len(path.history) * n
+        for e, label in enumerate(path.outcomes):
+            counts[label] = counts.get(label, 0) + n
+            first[label] = min(first.get(label, (lead, e)), (lead, e))
+        events_total += len(path.outcomes) * n
+        # records are built only for the paths of kept samples
         for i in path.members[:np.searchsorted(path.members, keep)].tolist():
             kept[i] = [{"time": r.time, "outcome": r.outcome,
                         "probability": r.probability, "recorded": r.recorded}

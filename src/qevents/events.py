@@ -12,21 +12,26 @@ admissible closeness set by the spread of the outcome weights.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .algebras import (FiniteAlgebra, SPAN_TOL, _inclusion_residual, contains,
                        full_matrix_algebra)
-from .centralizers import CentralizerReport, _center_distance, centralizer
+from .centralizers import CentralizerReport, _center_distance, _state_in_frame, centralizer
 from .errors import InadmissibleThresholdError, InvariantViolation
 from .operators import (DEFAULT_TOL, DensityState, PartitionOfUnity, _checked_norm,
                         _unitarity_defect, as_operator)
 from .seeding import substream
 
 logger = logging.getLogger(__name__)
+
+#: numbers one chunk of tree nodes may hold, here and in the exact walk of
+#: ``histories``; bounds the memory of both
+_CHUNK_ELEMENTS = 1 << 12
 
 __all__ = [
     "HeisenbergFrame",
@@ -307,14 +312,16 @@ def _weight_gap(state: DensityState, partition: PartitionOfUnity) -> float:
 
 
 def _detect(frame: HeisenbergFrame, k: int, state: DensityState,
-            partition: PartitionOfUnity, report: CentralizerReport,
+            partition: PartitionOfUnity, report: CentralizerReport, R: np.ndarray,
             safety: float, tol: float) -> DetectionVerdict:
+    """The event criterion for one candidate, on the state's report and
+    R = ``_state_in_frame(report, state)``."""
     time = frame.times[k]
     r = frame._outside_restriction(k, partition)
     if r is not None:
         raise InvariantViolation(
             f"partition not inside the restriction algebra at time {time}: residual {r:.3e}")
-    distance = _center_distance(report, state, partition.stack)
+    distance = _center_distance(report, R, partition.stack)
     gap = _weight_gap(state, partition)
     admissible = partition.size >= 2 and gap > tol
     if admissible:
@@ -344,9 +351,11 @@ def detect_event(frame: HeisenbergFrame, state: DensityState, time,
 
 def _verdicts(frame: HeisenbergFrame, k: int, state: DensityState, candidates,
               safety: float, tol: float) -> list[DetectionVerdict]:
-    """``_detect`` for each candidate at frame time k, on one centralizer report."""
+    """``_detect`` for each candidate at frame time k, on one centralizer report
+    and one R = F* rho F."""
     report = centralizer(_ambient(frame, k), state)
-    return [_detect(frame, k, state, p, report, safety, tol) for p in candidates]
+    R = _state_in_frame(report, state)
+    return [_detect(frame, k, state, p, report, R, safety, tol) for p in candidates]
 
 
 @dataclass(frozen=True, eq=False)
@@ -465,95 +474,228 @@ def run_trajectory(frame: HeisenbergFrame, initial: DensityState,
     return TrajectoryResult(path.history, DensityState(path.state), path.branch_log)
 
 
-class _Path(NamedTuple):
-    """One distinct outcome path of a sampled batch and the samples that took it."""
+class _Path:
+    """One distinct outcome path of a sampled batch and the samples that took it.
 
-    members: np.ndarray                  # sample indices, ascending
-    history: tuple[EventRecord, ...]
-    branch_log: tuple[BranchRecord, ...]
-    state: np.ndarray                    # final density matrix of the path
+    ``entries`` holds one plain tuple of ``BranchRecord`` fields per time;
+    ``branch_log``, ``history`` and ``outcomes`` are built from them on first
+    read (``functools.cached_property``).
+    """
+
+    def __init__(self, members: np.ndarray, state: np.ndarray, entries: tuple):
+        self.members = members      # sample indices, ascending
+        self.state = state          # final density matrix of the path
+        self.entries = entries
+
+    @cached_property
+    def branch_log(self) -> tuple[BranchRecord, ...]:
+        return tuple(BranchRecord(*e) for e in self.entries)
+
+    @cached_property
+    def history(self) -> tuple[EventRecord, ...]:
+        return tuple(EventRecord(e[0], e[5], e[6], True) for e in self.entries if e[7])
+
+    @cached_property
+    def outcomes(self) -> tuple:
+        """The labels of the recorded events, in time order."""
+        return tuple(e[5] for e in self.entries if e[7])
 
 
 def _sample_paths(frame: HeisenbergFrame, initial: DensityState, samples: int,
-                  draw: Callable[[np.ndarray, int], np.ndarray],
+                  draw: Callable[[np.ndarray, np.ndarray], np.ndarray],
                   safety: float = 0.5, record_policy="always",
                   require_detection: bool = True, tol: float = DEFAULT_TOL,
                   steps: int | None = None) -> Iterator[_Path]:
     """Sample ``samples`` trajectories over the first ``steps`` frame times at once.
 
     Samples that drew the same outcomes so far share one state, so the batch
-    advances as groups {outcome prefix -> state}: the Born weights (and, with
-    detection, the centralizer and the event verdict) are computed once per
-    group, and ``draw(members, j)`` supplies the uniforms of the group's
-    samples for their j-th event (counting from 0), which a single
-    ``searchsorted`` turns into outcomes.  Each sample thus uses one uniform
-    per fired time, in time order, exactly as a one-at-a-time loop would.
-    Groups are walked depth first and each distinct path is yielded as soon
-    as it is complete, so at most steps x (outcomes per time) states are
-    alive at once, whatever the batch size.
+    advances as groups {outcome prefix -> state}, a chunk of groups one time
+    step at a time.  A chunk holds its groups' states stacked (G, d, d), per
+    sample its index, its group and its event count, and per group its
+    record entries as plain tuples.  At step k the event verdict (with
+    detection: one centralizer per group, the minimal-distance firing
+    candidate wins) and the Born weights (one einsum per group) are computed
+    per group; a group with no firing candidate carries over without
+    drawing.  One call ``draw(members, j)`` then supplies a uniform for each
+    sample of the firing groups, ``j[i]`` being the number of events sample
+    ``members[i]`` has seen (counting from 0), so each sample uses one
+    uniform per fired time, in time order, exactly as a one-at-a-time loop
+    would.  A uniform u becomes outcome min(searchsorted(cum, u * total,
+    "right"), m - 1) of its group's cumulative weights, and the samples
+    regroup by (group, outcome) in label order.  A recorded outcome j
+    collapses its group to ``F[j] @ rho @ F[j] / w[j]`` in one stacked
+    product; an unrecorded step dephases each group instead.
+
+    The children are cut into chunks of at most ``_CHUNK_ELEMENTS`` numbers
+    (one group each if a group is larger) and pushed depth first, so paths
+    come out in the order of a depth-first walk over outcome labels, each
+    as soon as its chunk is complete, and memory stays within about steps x
+    (outcomes per time) chunks whatever the number of groups.  A path's
+    records are built only when read (``_Path``).
     """
     steps = len(frame.times) if steps is None else steps
     should_record = _resolve_policy(record_policy)
     if not require_detection and any(len(c) != 1 for c in frame.partitions[:steps]):
         raise ValueError("unconditional stepping needs exactly one candidate per time")
 
-    pending = [(0, initial.matrix, np.arange(samples), (), (), 0)]
+    if not np.isfinite(initial.matrix).all():
+        raise InvariantViolation("initial state is not finite")
+    # a chunk: step, states (G, d, d), then per sample its index, its group
+    # and its event count, then per group its record entries
+    zeros = np.zeros(samples, dtype=np.intp)     # never written in place
+    pending = [(0, initial.matrix[None], np.arange(samples), zeros, zeros, [()])]
     while pending:
-        k, rho, members, log, history, fired = pending.pop()
+        k, rho, members, gid, seen, entries = pending.pop()
         if k == steps:
-            herm = float(np.linalg.norm(rho - rho.conj().T))
-            drift = abs(float(rho.trace().real) - 1.0)
-            if herm > 1e-8 or drift > 1e-8:
-                raise InvariantViolation(
-                    "trajectory state left the density-matrix manifold "
-                    f"(hermiticity defect {herm:.3e}, trace drift {drift:.3e})")
-            yield _Path(members, history, log, rho)
+            yield from _leaves(rho, members, gid, entries)
             continue
         t = frame.times[k]
-        verdict = None
-        if require_detection:
-            verdicts = _verdicts(frame, k, DensityState(rho, validate=False),
-                                 frame.partitions[k], safety, tol)
-            firing = sorted((v for v in verdicts if v.happened), key=lambda v: v.distance)
-            if not firing:
-                skipped = BranchRecord(t, False, any(v.admissible for v in verdicts),
-                                       min(v.distance for v in verdicts),
-                                       None, None, None, False)
-                pending.append((k + 1, rho, members, log + (skipped,), history, fired))
-                continue
-            if len(firing) > 1 and firing[1].distance - firing[0].distance <= 1e-12:
-                logger.debug("candidate tie at time %s: margin %.3e", t,
-                             firing[1].distance - firing[0].distance)
-            verdict = firing[0]
-            partition = verdict.partition
+        rows, parts, heads, carried, shared = _step_verdicts(frame, k, rho, safety, tol,
+                                                             require_detection)
+        if not rows:    # no group fires: the chunk carries over as it is
+            pending.append((k + 1, rho, members, gid, seen,
+                            [e + (carried[g],) for g, e in enumerate(entries)]))
+            continue
+        if carried:     # row of each firing group; -1 for a group carried over
+            row_of = np.full(len(rho), -1)
+            row_of[rows] = np.arange(len(rows))
+            row = row_of[gid]
+            drawing = row >= 0
+            row, row_of = row[drawing], row_of.tolist()
         else:
-            partition = frame.partitions[k][0]
-
-        stack = partition.stack
-        weights = np.einsum("ab,nba->n", rho, stack).real
-        np.maximum(weights, 0.0, out=weights)
-        cum = np.cumsum(weights)
-        total = cum[-1]
-        if total <= 0.0:
-            raise InvariantViolation(f"total branch weight vanished at time {t}")
-        idx = np.searchsorted(cum, draw(members, fired) * total, side="right")
-        np.minimum(idx, len(cum) - 1, out=idx)
+            row, drawing, row_of = gid, slice(None), range(len(rho))
+        weights = [np.einsum("ab,nba->n", rho[g], p.stack) for g, p in zip(rows, parts)]
+        if shared is None:      # zero weights pad the rows to a common width
+            width = max(p.size for p in parts)
+            padded = np.zeros((len(rows), width), dtype=complex)
+            for r, w in enumerate(weights):
+                padded[r, :w.size] = w
+            weights = padded
+        else:
+            width = shared.size
+            weights = np.concatenate(weights).reshape(-1, width)
+        weights = np.maximum(weights.real, 0.0)
+        cum = np.add.accumulate(weights, axis=1)
+        total = cum[:, -1]
+        totals = total.tolist()
+        if not all(0.0 < x < math.inf for x in totals):
+            raise InvariantViolation(
+                f"total branch weight vanished or is not finite at time {t}")
+        # min(searchsorted(cum, u * total, "right"), m - 1) is a count over the
+        # columns below a group's last (+inf past it), as the clip keeps cum monotone
+        cut = cum[:, :-1]
+        if shared is None:
+            last = np.array([p.size - 1 for p in parts])
+            cut = np.where(np.arange(width - 1) < last[:, None], cut, np.inf)
+        value = draw(members[drawing], seen[drawing]) * total[row]
+        # regroup by key = (group, outcome) without a sort: child ids in label order
+        key = gid * width
+        drawn = key[drawing]
+        for column in cut.T:
+            drawn = drawn + (column[row] <= value)
+        if carried:
+            key[drawing] = drawn
+        else:
+            key = drawn
+        seen = seen + (drawing if carried else 1)
         recorded = bool(should_record(t))
-        if not recorded:
-            dephased = sum(P @ rho @ P for P in stack)
-        children = []
-        for j in np.flatnonzero(np.bincount(idx)).tolist():
-            p = float(weights[j] / total)
-            label = partition.labels[j]
-            entry = BranchRecord(t, True,
-                                 verdict.admissible if verdict else None,
-                                 verdict.distance if verdict else None,
-                                 verdict.threshold if verdict else None,
-                                 label, p, recorded)
-            if recorded:
-                child = stack[j] @ rho @ stack[j] / weights[j]
-                events = history + (EventRecord(t, label, p, True),)
+
+        counts = np.bincount(key).tolist()
+        kids = [q for q, c in enumerate(counts) if c]
+        split = len(kids) > len(rho)    # else each group has one child, of its index
+        child_gid = (np.cumsum(np.array(counts) > 0) - 1)[key] if split else gid
+        weight_rows = weights.tolist()
+        child_entries, fired_at, f_parent, f_row, f_label, f_weight = [], [], [], [], [], []
+        for c, q in enumerate(kids):
+            g, j = divmod(q, width)
+            if g in carried:
+                entry = carried[g]
             else:
-                child, events = dephased, history
-            children.append((k + 1, child, members[idx == j], log + (entry,), events, fired + 1))
-        pending.extend(reversed(children))
+                r = row_of[g]
+                w = weight_rows[r][j]
+                fired_at.append(c)
+                f_parent.append(g)
+                f_row.append(r)
+                f_label.append(j)
+                f_weight.append(w)
+                entry = (t, True, *heads[r], parts[r].labels[j], w / totals[r], recorded)
+            child_entries.append(entries[g] + (entry,))
+        if recorded:
+            if shared is None:
+                F = np.stack([parts[r].stack[j] for r, j in zip(f_row, f_label)])
+            else:
+                F = shared.stack[f_label]
+            grown = F @ (rho[f_parent] if split or carried else rho) @ F
+            grown /= np.array(f_weight)[:, None, None]
+        else:
+            dephased = [sum(P @ rho[g] @ P for P in p.stack) for g, p in zip(rows, parts)]
+            grown = np.array([dephased[r] for r in f_row])
+        if carried:
+            children = rho[[q // width for q in kids]]
+            children[fired_at] = grown
+        else:
+            children = grown
+
+        per = max(1, _CHUNK_ELEMENTS // rho[0].size)
+        if len(kids) <= per:
+            pending.append((k + 1, children, members, child_gid, seen, child_entries))
+            continue
+        for a in reversed(range(0, len(kids), per)):
+            sub = (child_gid >= a) & (child_gid < a + per)
+            pending.append((k + 1, children[a:a + per], members[sub], child_gid[sub] - a,
+                            seen[sub], child_entries[a:a + per]))
+
+
+def _step_verdicts(frame: HeisenbergFrame, k: int, rho: np.ndarray, safety: float,
+                   tol: float, require_detection: bool):
+    """The event verdicts at step k for each group of the (G, d, d) ``rho``.
+
+    Returns the firing groups, each one's winning partition and its
+    (admissible, distance, threshold), the entry of each group that carries
+    over without an event, and the partition all firing groups share (None
+    if they differ).  Without detection every group fires with the step's
+    one candidate.
+    """
+    if not require_detection:
+        partition = frame.partitions[k][0]
+        return (range(len(rho)), [partition] * len(rho), [(None, None, None)] * len(rho),
+                {}, partition)
+    t = frame.times[k]
+    rows, parts, heads, carried = [], [], [], {}
+    for g in range(len(rho)):
+        verdicts = _verdicts(frame, k, DensityState(rho[g], validate=False),
+                             frame.partitions[k], safety, tol)
+        firing = sorted((v for v in verdicts if v.happened), key=lambda v: v.distance)
+        if not firing:
+            carried[g] = (t, False, any(v.admissible for v in verdicts),
+                          min(v.distance for v in verdicts), None, None, None, False)
+            continue
+        if len(firing) > 1 and firing[1].distance - firing[0].distance <= 1e-12:
+            logger.debug("candidate tie at time %s: margin %.3e", t,
+                         firing[1].distance - firing[0].distance)
+        v = firing[0]
+        rows.append(g)
+        parts.append(v.partition)
+        heads.append((v.admissible, v.distance, v.threshold))
+    shared = parts[0] if parts and all(p is parts[0] for p in parts) else None
+    return rows, parts, heads, carried, shared
+
+
+def _leaves(rho: np.ndarray, members: np.ndarray, gid: np.ndarray, entries: list):
+    """The paths of a chunk at the last step, after one batched density check."""
+    defect = rho - rho.conj().transpose(0, 2, 1)
+    herm = np.einsum("gab,gab->g", defect.conj(), defect).real.tolist()
+    drift = (rho.trace(axis1=1, axis2=2).real - 1.0).tolist()
+    for h, e in zip(herm, drift):
+        h, e = math.sqrt(h), abs(e)
+        if not (h <= 1e-8 and e <= 1e-8):
+            raise InvariantViolation(
+                "trajectory state left the density-matrix manifold "
+                f"(hermiticity defect {h:.3e}, trace drift {e:.3e})")
+    if len(rho) == 1:
+        yield _Path(members, rho[0], entries[0])
+        return
+    ordered = members[np.argsort(gid, kind="stable")]
+    ends = np.bincount(gid, minlength=len(rho)).cumsum().tolist()
+    for g, (a, b) in enumerate(zip([0] + ends, ends)):
+        yield _Path(ordered[a:b], rho[g], entries[g])

@@ -17,16 +17,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvariantViolation
-from .events import HeisenbergFrame, _sample_paths
+from .events import _CHUNK_ELEMENTS, HeisenbergFrame, _sample_paths
 from .operators import DensityState, PartitionOfUnity
 from .seeding import substream
 
 logger = logging.getLogger(__name__)
 
 MAX_TREE_LEAVES = 10 ** 6
-
-#: numbers one chunk of the exact walk's children may hold; bounds its memory
-_CHUNK_ELEMENTS = 1 << 12
 
 __all__ = [
     "MeasurementProtocol",
@@ -246,8 +243,7 @@ def sampler_vs_measure(frame: HeisenbergFrame, initial: DensityState,
     uniforms = substream(seed).random((samples, steps))
     paths = _sample_paths(frame, initial, samples, lambda members, j: uniforms[members, j],
                           record_policy="always", require_detection=False, steps=steps)
-    counts = {tuple(rec.outcome for rec in path.history): path.members.size
-              for path in paths}
+    counts = {path.outcomes: path.members.size for path in paths}
     tv = 0.0
     seen = set(exact) | set(counts)
     for key in seen:

@@ -18,6 +18,7 @@ from qevents import (DEFAULT_TOL, DEGENERACY_TOL, RANK_RCOND, SPAN_TOL, BranchRe
                      InvariantViolation, PartitionOfUnity, TrajectoryResult, adjoint,
                      ambient_representative, antihermitian_defect, centralizer, contains,
                      operator_norm, spectral_decompose, substream)
+from qevents.centralizers import _state_in_frame
 from qevents.events import _ambient, _detect, _resolve_policy, _sample_paths, _weight_gap
 from qevents.histories import enumerate_protocols, lsw_probability
 from qevents.mesoscopic import _lgamma, _log_posterior_rows, _logsumexp, _xlogy
@@ -362,6 +363,93 @@ def reference_detect(state, partition, time, restriction, report,
                             threshold, partition, float(gap), admissible)
 
 
+class ReferencePath(NamedTuple):
+    """One distinct outcome path of ``reference_sample_paths``."""
+
+    members: np.ndarray                  # sample indices, ascending
+    history: tuple
+    branch_log: tuple
+    state: np.ndarray                    # final density matrix of the path
+
+
+def reference_sample_paths(frame, initial, samples, draw, safety=0.5, record_policy="always",
+                           require_detection=True, tol=DEFAULT_TOL, steps=None):
+    """The batched sampler one group at a time, depth first, with eager records.
+
+    The test oracle for ``qevents.events._sample_paths``, which advances a
+    chunk of groups one time step at a time: each group pops off a stack,
+    computes its verdict and Born weights, assigns its samples' outcomes
+    with one ``searchsorted`` over ``draw(members, j)`` (j the group's event
+    count) and pushes one child per drawn outcome, lowest label on top.
+    """
+    steps = len(frame.times) if steps is None else steps
+    should_record = _resolve_policy(record_policy)
+    if not require_detection and any(len(c) != 1 for c in frame.partitions[:steps]):
+        raise ValueError("unconditional stepping needs exactly one candidate per time")
+
+    pending = [(0, initial.matrix, np.arange(samples), (), (), 0)]
+    while pending:
+        k, rho, members, log, history, fired = pending.pop()
+        if k == steps:
+            herm = float(np.linalg.norm(rho - rho.conj().T))
+            drift = abs(float(rho.trace().real) - 1.0)
+            if herm > 1e-8 or drift > 1e-8:
+                raise InvariantViolation(
+                    "trajectory state left the density-matrix manifold "
+                    f"(hermiticity defect {herm:.3e}, trace drift {drift:.3e})")
+            yield ReferencePath(members, history, log, rho)
+            continue
+        t = frame.times[k]
+        verdict = None
+        if require_detection:
+            state = DensityState(rho, validate=False)
+            report = centralizer(_ambient(frame, k), state)
+            R = _state_in_frame(report, state)
+            verdicts = [_detect(frame, k, state, p, report, R, safety, tol)
+                        for p in frame.partitions[k]]
+            firing = sorted((v for v in verdicts if v.happened), key=lambda v: v.distance)
+            if not firing:
+                skipped = BranchRecord(t, False, any(v.admissible for v in verdicts),
+                                       min(v.distance for v in verdicts),
+                                       None, None, None, False)
+                pending.append((k + 1, rho, members, log + (skipped,), history, fired))
+                continue
+            verdict = firing[0]
+            partition = verdict.partition
+        else:
+            partition = frame.partitions[k][0]
+
+        stack = partition.stack
+        weights = np.einsum("ab,nba->n", rho, stack).real
+        np.maximum(weights, 0.0, out=weights)
+        cum = np.cumsum(weights)
+        total = cum[-1]
+        if total <= 0.0:
+            raise InvariantViolation(f"total branch weight vanished at time {t}")
+        idx = np.searchsorted(cum, draw(members, np.full(members.size, fired)) * total,
+                              side="right")
+        np.minimum(idx, len(cum) - 1, out=idx)
+        recorded = bool(should_record(t))
+        if not recorded:
+            dephased = sum(P @ rho @ P for P in stack)
+        children = []
+        for j in np.flatnonzero(np.bincount(idx)).tolist():
+            p = float(weights[j] / total)
+            label = partition.labels[j]
+            entry = BranchRecord(t, True,
+                                 verdict.admissible if verdict else None,
+                                 verdict.distance if verdict else None,
+                                 verdict.threshold if verdict else None,
+                                 label, p, recorded)
+            if recorded:
+                child = stack[j] @ rho @ stack[j] / weights[j]
+                events = history + (EventRecord(t, label, p, True),)
+            else:
+                child, events = dephased, history
+            children.append((k + 1, child, members[idx == j], log + (entry,), events, fired + 1))
+        pending.extend(reversed(children))
+
+
 def reference_trajectory(frame, initial, safety=0.5, record_policy="always", rng_seed=0,
                          require_detection=True, tol=DEFAULT_TOL) -> TrajectoryResult:
     """One trajectory by a plain per-sample loop over the frame times.
@@ -380,7 +468,8 @@ def reference_trajectory(frame, initial, safety=0.5, record_policy="always", rng
         verdict = None
         if require_detection:
             report = centralizer(_ambient(frame, k), state_k)
-            verdicts = [_detect(frame, k, state_k, p, report, safety, tol) for p in candidates]
+            R = _state_in_frame(report, state_k)
+            verdicts = [_detect(frame, k, state_k, p, report, R, safety, tol) for p in candidates]
             firing = [v for v in verdicts if v.happened]
             if not firing:
                 branch.append(BranchRecord(t, False, any(v.admissible for v in verdicts),

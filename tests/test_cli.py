@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import qevents.cli as cli
+import qevents.events
 from qevents import InvariantViolation, ProtocolSample, substream
 
 from _helpers import reference_trajectory
@@ -151,6 +152,33 @@ class TestConfigErrors:
         assert cli.main(["detect", "--config", cfg, "--out", str(out_path)]) == 1
         assert not out_path.exists()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_require_detection_must_be_a_boolean(self, tmp_path, capsys, value):
+        cfg = hadamard_config(tmp_path, require_detection=value)
+        assert cli.main(["trajectory", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: run.require_detection must be true or false")
+
+    def test_keep_histories_must_not_be_negative(self, tmp_path, capsys):
+        cfg = hadamard_config(tmp_path, keep_histories=-3)
+        assert cli.main(["trajectory", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: run.keep_histories must be at least 0")
+
+    def test_records_are_built_only_for_kept_samples(self, tmp_path, capsys, monkeypatch):
+        built = []
+        real = qevents.events._Path.history
+
+        def spy(path):
+            built.append(path.members.tolist())
+            return real.func(path)
+
+        monkeypatch.setattr(qevents.events._Path, "history", property(spy))
+        cfg = hadamard_config(tmp_path, samples=300, seed=7, keep_histories=3)
+        assert cli.main(["trajectory", "--config", cfg]) == 0
+        assert len(json.loads(capsys.readouterr().out)["histories"]) == 3
+        assert built and all(min(members) < 3 for members in built)
 
     def test_numerical_failures_map_to_exit_two(self, tmp_path, capsys, monkeypatch):
         cfg = hadamard_config(tmp_path, samples=1)

@@ -1,4 +1,5 @@
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from qevents.events import _sample_paths
 
 from _helpers import (in_tensor_block, outcome, random_density, random_partition,
                       random_unitary, reference_centralizer, reference_detect,
-                      reference_trajectory, reference_validate_projection_family, rng,
-                      run_capped, tensor_ambient, tensor_state)
+                      reference_sample_paths, reference_trajectory,
+                      reference_validate_projection_family, rng, run_capped, tensor_ambient,
+                      tensor_state)
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E22 = np.diag([0.0, 1.0]).astype(complex)
@@ -396,6 +398,171 @@ class TestBatchedSampler:
                                    require_detection=detection))
 
 
+def _mixed_frame(p):
+    """A d = 4 diagonal frame whose groups fire and skip side by side, with
+    candidates of 3 and 2 outcomes winning for different groups at one time.
+
+    For weights p (p0, p1, p2 distinct, p1 != p2): at t = 1 {0, 1, 2 | 3}
+    splits off the pure state e3; at t = 2 the pure group ties two weights
+    of {0 | 1, 2 | 3} (inadmissible, skipped) while the other fires; at
+    t = 3 the group on {1, 2} takes the 3-outcome {0 | 1 | 2, 3}, listed
+    first, while e0 and e3 can only take the 2-outcome {0, 1 | 2, 3}.
+    """
+    def part(labels, *blocks):
+        return PartitionOfUnity(labels, tuple(np.isin(np.arange(4), b).astype(float)
+                                              for b in blocks))
+
+    partitions = ((part(("a0", "a1"), (0, 1, 2), (3,)),),
+                  (part(("b0", "b1", "b2"), (0,), (1, 2), (3,)),),
+                  (part(("x", "y", "z"), (0,), (1,), (2, 3)),
+                   part(("c0", "c1"), (0, 1), (2, 3))))
+    frame = HeisenbergFrame((1.0, 2.0, 3.0), None, partitions, (diagonal_algebra(4),) * 3)
+    return frame, DensityState(np.diag(p).astype(complex))
+
+
+def _assert_same_paths(paths, refs):
+    assert len(paths) == len(refs)
+    for path, ref in zip(paths, refs):
+        assert path.members.tolist() == ref.members.tolist()
+        assert path.history == ref.history
+        assert path.branch_log == ref.branch_log
+        assert path.outcomes == tuple(r.outcome for r in ref.history)
+        assert path.state.tobytes() == ref.state.tobytes()
+
+
+class TestSteppedSampler:
+    """The sampler, a chunk of groups a time step at a time, against the
+    depth-first loop with eager records."""
+
+    POLICIES = {"always": "always", "never": "never", "from2": lambda t: t >= 2.0}
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["random", "mixed"]), dim=st.integers(2, 4),
+           outcomes=st.integers(2, 3), steps=st.integers(0, 4),
+           access=st.sampled_from(["full", "diagonal"]), detection=st.booleans(),
+           two_candidates=st.booleans(),
+           state_kind=st.sampled_from(["random", "aligned", "tied"]),
+           policy=st.sampled_from(["always", "never", "from2"]),
+           budget=st.sampled_from([1, 50, None]), samples=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_depth_first_oracle(self, kind, dim, outcomes, steps, access, detection,
+                                            two_candidates, state_kind, policy, budget, samples,
+                                            seed):
+        gen = rng(seed)
+        if kind == "mixed":
+            frame, state = _mixed_frame(gen.dirichlet(np.ones(4)))
+            detection, steps = True, min(steps, 3)
+        else:
+            candidates = 2 if detection and two_candidates else 1
+            frame, state = _random_frame(gen, dim, min(outcomes, dim), max(steps, 1), access,
+                                         candidates, state_kind)
+        uniforms = gen.random((samples, len(frame.times)))
+        kw = dict(record_policy=self.POLICIES[policy], require_detection=detection, steps=steps)
+        draws = []
+
+        def draw(members, j):
+            draws.append(len(members))
+            return uniforms[members, j]
+
+        budget = qevents.events._CHUNK_ELEMENTS if budget is None else budget
+        with mock.patch.object(qevents.events, "_CHUNK_ELEMENTS", budget):
+            paths = list(_sample_paths(frame, state, samples, draw, **kw))
+        refs = list(reference_sample_paths(frame, state, samples,
+                                           lambda m, j: uniforms[m, j], **kw))
+        _assert_same_paths(paths, refs)
+        # one draw per chunk and step, one uniform per sample and fired time
+        assert sum(draws) == sum(len(p.members) * sum(b.fired for b in p.branch_log)
+                                 for p in refs)
+
+    def test_groups_fire_and_skip_with_different_widths_in_one_chunk(self):
+        frame, state = _mixed_frame([0.1, 0.2, 0.3, 0.4])
+        uniforms = rng(151).random((400, 3))
+        draws = []
+
+        def draw(members, j):
+            draws.append(j.copy())
+            return uniforms[members, j]
+
+        paths = list(_sample_paths(frame, state, 400, draw))
+        refs = list(reference_sample_paths(frame, state, 400, lambda m, j: uniforms[m, j]))
+        _assert_same_paths(paths, refs)
+        # one chunk per step: the e3 group skips t = 2, so its samples draw
+        # their second uniform at t = 3 beside samples drawing their third
+        assert len(draws) == 3 and set(draws[2].tolist()) == {1, 2}
+        fired_at_2 = {p.branch_log[1].fired for p in paths}
+        labels_at_3 = {p.branch_log[2].outcome for p in paths}
+        assert fired_at_2 == {True, False}
+        assert labels_at_3 & {"x", "y", "z"} and labels_at_3 & {"c0", "c1"}
+
+    def test_non_finite_state_raises_before_any_division(self):
+        frame = HeisenbergFrame((1.0,), (I2,), ((PART,),), (None,))
+        broken = DensityState(np.array([[np.nan, 0.0], [0.0, 0.5]]), validate=False)
+        for detection in (False, True):
+            with pytest.raises(InvariantViolation, match="not finite"):
+                list(_sample_paths(frame, broken, 4, lambda m, j: np.full(m.size, 0.3),
+                                   require_detection=detection))
+
+    def test_non_finite_branch_weight_raises(self):
+        # a finite state whose weights overflow: the sum of two finite
+        # weights is inf, which the old `total <= 0.0` guard let through
+        frame = HeisenbergFrame((1.0,), (I2,), ((PART,),), (None,))
+        huge = DensityState(np.diag([1e308, 1e308]).astype(complex), validate=False)
+        with np.errstate(over="ignore"), pytest.raises(InvariantViolation, match="not finite"):
+            list(_sample_paths(frame, huge, 2, lambda m, j: np.zeros(m.size),
+                               require_detection=False))
+
+    def test_a_non_finite_leaf_fails_the_density_check(self):
+        frame = HeisenbergFrame((1.0,), (I2,), ((PART,),), (None,))
+        broken = DensityState(np.array([[np.nan, 0.0], [0.0, 0.5]]), validate=False)
+        with pytest.raises(InvariantViolation, match="manifold"):
+            list(qevents.events._leaves(broken.matrix[None], np.arange(2),
+                                        np.zeros(2, dtype=np.intp), [()]))
+
+    def test_20000_samples_in_bounded_memory(self):
+        # d = 16, T = 12, m = 2: about 4096 distinct paths, whose last level
+        # alone would take 16.8 MB unchunked
+        script = (
+            "import tracemalloc\n"
+            "import numpy as np\n"
+            "from qevents import DensityState, HeisenbergFrame, PartitionOfUnity\n"
+            "from qevents.events import _sample_paths\n"
+            "g = np.random.default_rng(157)\n"
+            "z = g.standard_normal((16, 16)) + 1j * g.standard_normal((16, 16))\n"
+            "S, _ = np.linalg.qr(z)\n"
+            "low = np.arange(16) < 8\n"
+            "part = PartitionOfUnity((0, 1), (low.astype(float), (~low).astype(float)))\n"
+            "frame = HeisenbergFrame.build(tuple(float(k + 1) for k in range(12)), part,\n"
+            "                              step_propagator=S)\n"
+            "w = g.dirichlet(np.ones(16))\n"
+            "state = DensityState(np.diag(w).astype(complex))\n"
+            "u = g.random((20000, 12))\n"
+            "part.stack\n"
+            "tracemalloc.start()\n"
+            "paths = members = 0\n"
+            "for path in _sample_paths(frame, state, 20000, lambda m, j: u[m, j],\n"
+            "                          require_detection=False):\n"
+            "    paths += 1\n"
+            "    members += path.members.size\n"
+            "peak = tracemalloc.get_traced_memory()[1]\n"
+            "print(paths, members, peak)\n"
+        )
+        proc = run_capped(script)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        paths, members, peak = proc.stdout.split()
+        assert int(members) == 20000 and int(paths) > 2000
+        assert float(peak) <= 4 * 2 ** 20, f"tracemalloc peak {float(peak) / 2**20:.1f} MB"
+
+    def test_counting_consumers_read_no_records(self, monkeypatch):
+        from qevents import sampler_vs_measure
+
+        def unread(self):
+            raise AssertionError("records built")
+
+        monkeypatch.setattr(qevents.events._Path, "history", property(unread))
+        monkeypatch.setattr(qevents.events._Path, "branch_log", property(unread))
+        assert 0.0 <= sampler_vs_measure(hadamard_frame(3), RHO_37, 3, 200, seed=1) <= 1.0
+
+
 def _block_instance(gen, kind, n, m, scalars, outcomes, state_kind):
     """An ambient of the given kind, a partition inside it and a state of the given kind.
 
@@ -578,6 +745,27 @@ class TestRestrictionCheckCache:
         monkeypatch.setattr(qevents.events, "contains", None)
         assert first[0] is InvariantViolation
         assert outcome(detect_event, frame, state, 1.0, part) == first
+
+
+class TestStateInFrameOnce:
+    def test_one_step_with_three_candidates_forms_r_once(self, monkeypatch):
+        formed, distances = [], []
+        real_r, real_distance = qevents.events._state_in_frame, qevents.events._center_distance
+
+        def spy_r(report, state):
+            formed.append(report)
+            return real_r(report, state)
+
+        def spy_distance(report, R, stack, *args):
+            distances.append(report)
+            return real_distance(report, R, stack, *args)
+
+        monkeypatch.setattr(qevents.events, "_state_in_frame", spy_r)
+        monkeypatch.setattr(qevents.events, "_center_distance", spy_distance)
+        frame, state = _random_frame(rng(163), 3, 2, 1, "full", 3, "random")
+        run_trajectory(frame, state, rng_seed=1)
+        assert len(formed) == 1 and len(distances) == 3
+        assert all(report is formed[0] for report in distances)
 
 
 def _generic_full_access(d, seed):
