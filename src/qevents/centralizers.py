@@ -113,7 +113,14 @@ def centralizer(ambient: FiniteAlgebra, state: DensityState,
     averages them (rho itself for the full matrix algebra).  Eigenvalues
     within ``degeneracy_tol`` (chained) share a cluster, whose mean weighs
     each by its multiplicity m_i.
+
+    The report is kept on the state (``DensityState._reports``), so another
+    call with the same ambient object and tolerances returns it again.
     """
+    key = (id(ambient), tol, degeneracy_tol)
+    report = state._reports.get(key)
+    if report is not None:
+        return report
     if not ambient.contains_identity:
         raise InvariantViolation("ambient algebra must contain the identity")
     if state.dim != ambient.dim:
@@ -146,9 +153,10 @@ def centralizer(ambient: FiniteAlgebra, state: DensityState,
     cluster[order] = np.cumsum(new_cluster) - 1
     opens[1:] |= cluster[1:] != cluster[:-1]
     at = np.flatnonzero(opens)
-    return CentralizerReport(ambient, frame, (np.cumsum(mult) - mult)[at],
-                             np.repeat(np.cumsum(opens) - 1, mult), mult[at], cluster[at],
-                             eigenvalues)
+    report = state._reports[key] = CentralizerReport(
+        ambient, frame, (np.cumsum(mult) - mult)[at], np.repeat(np.cumsum(opens) - 1, mult),
+        mult[at], cluster[at], eigenvalues)
+    return report
 
 
 def _state_in_frame(report: CentralizerReport, state: DensityState) -> np.ndarray:

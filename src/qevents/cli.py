@@ -337,12 +337,13 @@ def cmd_trajectory(cfg: dict, seed: int):
 
     # sample i keeps its own stream: its j-th event takes the j-th uniform of
     # substream(seed, i), whatever the other samples draw
-    uniforms = _stream_uniforms(seed, samples, len(frame.times))
+    steps = len(frame.times)
+    flat = _stream_uniforms(seed, samples, steps).ravel()
     counts: dict = {}
     first: dict = {}        # outcome -> (sample, event index) where it first occurs
     events_total = 0
     kept: dict = {}
-    for path in _sample_paths(frame, initial, samples, lambda members, j: uniforms[members, j],
+    for path in _sample_paths(frame, initial, samples, lambda members, j: flat[members * steps + j],
                               safety=safety, record_policy=policy,
                               require_detection=require_detection):
         n, lead = path.members.size, int(path.members[0])

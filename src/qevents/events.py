@@ -512,12 +512,15 @@ def _sample_paths(frame: HeisenbergFrame, initial: DensityState, samples: int,
     advances as groups {outcome prefix -> state}, a chunk of groups one time
     step at a time.  A chunk holds its groups' states stacked (G, d, d), per
     sample its index, its group and its event count, and per group its
-    record entries as plain tuples.  At step k the event verdict (with
-    detection: one centralizer per group, the minimal-distance firing
-    candidate wins) and the Born weights (one einsum per group) are computed
-    per group; a group with no firing candidate carries over without
-    drawing.  One call ``draw(members, j)`` then supplies a uniform for each
-    sample of the firing groups, ``j[i]`` being the number of events sample
+    record entries as plain tuples and, with detection, its
+    ``DensityState``.  At step k the event verdict (with detection: one
+    centralizer per group, the minimal-distance firing candidate wins) and
+    the Born weights (one einsum per group) are computed per group; a group
+    with no firing candidate carries over without drawing, keeping its
+    ``DensityState`` and so the centralizer reports kept on it (the root's
+    is ``initial`` itself; a child of a firing group gets a new one).  One
+    call ``draw(members, j)`` then supplies a uniform for each sample of
+    the firing groups, ``j[i]`` being the number of events sample
     ``members[i]`` has seen (counting from 0), so each sample uses one
     uniform per fired time, in time order, exactly as a one-at-a-time loop
     would.  A uniform u becomes outcome min(searchsorted(cum, u * total,
@@ -541,20 +544,21 @@ def _sample_paths(frame: HeisenbergFrame, initial: DensityState, samples: int,
     if not np.isfinite(initial.matrix).all():
         raise InvariantViolation("initial state is not finite")
     # a chunk: step, states (G, d, d), then per sample its index, its group
-    # and its event count, then per group its record entries
+    # and its event count, then per group its record entries and, with
+    # detection, its DensityState (None until ``_step_verdicts`` builds it)
     zeros = np.zeros(samples, dtype=np.intp)     # never written in place
-    pending = [(0, initial.matrix[None], np.arange(samples), zeros, zeros, [()])]
+    pending = [(0, initial.matrix[None], np.arange(samples), zeros, zeros, [()],
+                [initial] if require_detection else None)]
     while pending:
-        k, rho, members, gid, seen, entries = pending.pop()
+        k, rho, members, gid, seen, entries, states = pending.pop()
         if k == steps:
             yield from _leaves(rho, members, gid, entries)
             continue
         t = frame.times[k]
-        rows, parts, heads, carried, shared = _step_verdicts(frame, k, rho, safety, tol,
-                                                             require_detection)
+        rows, parts, heads, carried, shared = _step_verdicts(frame, k, rho, states, safety, tol)
         if not rows:    # no group fires: the chunk carries over as it is
             pending.append((k + 1, rho, members, gid, seen,
-                            [e + (carried[g],) for g, e in enumerate(entries)]))
+                            [e + (carried[g],) for g, e in enumerate(entries)], states))
             continue
         if carried:     # row of each firing group; -1 for a group carried over
             row_of = np.full(len(rho), -1)
@@ -620,6 +624,9 @@ def _sample_paths(frame: HeisenbergFrame, initial: DensityState, samples: int,
                 f_weight.append(w)
                 entry = (t, True, *heads[r], parts[r].labels[j], w / totals[r], recorded)
             child_entries.append(entries[g] + (entry,))
+        # a group carried over keeps its state object, and so its reports
+        child_states = None if states is None else [
+            states[q // width] if q // width in carried else None for q in kids]
         if recorded:
             if shared is None:
                 F = np.stack([parts[r].stack[j] for r, j in zip(f_row, f_label)])
@@ -638,33 +645,39 @@ def _sample_paths(frame: HeisenbergFrame, initial: DensityState, samples: int,
 
         per = max(1, _CHUNK_ELEMENTS // rho[0].size)
         if len(kids) <= per:
-            pending.append((k + 1, children, members, child_gid, seen, child_entries))
+            pending.append((k + 1, children, members, child_gid, seen, child_entries,
+                            child_states))
             continue
         for a in reversed(range(0, len(kids), per)):
             sub = (child_gid >= a) & (child_gid < a + per)
             pending.append((k + 1, children[a:a + per], members[sub], child_gid[sub] - a,
-                            seen[sub], child_entries[a:a + per]))
+                            seen[sub], child_entries[a:a + per],
+                            None if child_states is None else child_states[a:a + per]))
 
 
-def _step_verdicts(frame: HeisenbergFrame, k: int, rho: np.ndarray, safety: float,
-                   tol: float, require_detection: bool):
+def _step_verdicts(frame: HeisenbergFrame, k: int, rho: np.ndarray, states: list | None,
+                   safety: float, tol: float):
     """The event verdicts at step k for each group of the (G, d, d) ``rho``.
 
-    Returns the firing groups, each one's winning partition and its
-    (admissible, distance, threshold), the entry of each group that carries
-    over without an event, and the partition all firing groups share (None
-    if they differ).  Without detection every group fires with the step's
-    one candidate.
+    ``states`` holds each group's ``DensityState``, or None where the group
+    has none yet; one is built for it here and stored in the list.  Returns
+    the firing groups, each one's winning partition and its (admissible,
+    distance, threshold), the entry of each group that carries over without
+    an event, and the partition all firing groups share (None if they
+    differ).  Without detection (``states`` None) every group fires with
+    the step's one candidate.
     """
-    if not require_detection:
+    if states is None:
         partition = frame.partitions[k][0]
         return (range(len(rho)), [partition] * len(rho), [(None, None, None)] * len(rho),
                 {}, partition)
     t = frame.times[k]
     rows, parts, heads, carried = [], [], [], {}
     for g in range(len(rho)):
-        verdicts = _verdicts(frame, k, DensityState(rho[g], validate=False),
-                             frame.partitions[k], safety, tol)
+        state = states[g]
+        if state is None:
+            state = states[g] = DensityState(rho[g], validate=False)
+        verdicts = _verdicts(frame, k, state, frame.partitions[k], safety, tol)
         firing = sorted((v for v in verdicts if v.happened), key=lambda v: v.distance)
         if not firing:
             carried[g] = (t, False, any(v.admissible for v in verdicts),

@@ -240,8 +240,8 @@ def sampler_vs_measure(frame: HeisenbergFrame, initial: DensityState,
         exact[outcomes] = _clamp(mass)
 
     _walk_outcome_tree(frame, initial, steps, record)
-    uniforms = substream(seed).random((samples, steps))
-    paths = _sample_paths(frame, initial, samples, lambda members, j: uniforms[members, j],
+    flat = substream(seed).random((samples, steps)).ravel()
+    paths = _sample_paths(frame, initial, samples, lambda members, j: flat[members * steps + j],
                           record_policy="always", require_detection=False, steps=steps)
     counts = {path.outcomes: path.members.size for path in paths}
     tv = 0.0

@@ -325,6 +325,12 @@ def spectral_decompose(X: np.ndarray,
     return SpectralDecomposition._from_eigh(eigenvalues, vecs, np.flatnonzero(opens))
 
 
+def _frozen(A: np.ndarray) -> np.ndarray:
+    """A itself, made read-only; pass only an array nobody else holds."""
+    A.flags.writeable = False
+    return A
+
+
 class DensityState:
     """A density matrix acting as the state functional A -> tr(rho A).
 
@@ -335,7 +341,18 @@ class DensityState:
     Two views are cached on the instance with ``functools.cached_property``:
     ``diagonal``, the diagonal of a diagonal state and None otherwise, which
     a state built from a matrix computes on first read; and ``matrix``, which
-    a state built from its diagonal materializes on first read.
+    a state built from its diagonal materializes on first read.  Both are
+    read-only, so writing into them raises ``ValueError`` instead of
+    changing the state under what was computed from it; an array the caller
+    passes with ``validate=False`` is held through a read-only view and
+    keeps its own flags.
+
+    The centralizer reports computed for the state are cached in
+    ``_reports``, a dict keyed by (id(ambient), tol, degeneracy_tol) that
+    only ``centralizers.centralizer`` reads and fills.  Each report holds
+    its ambient, so a keyed id cannot be reused while its entry lives; the
+    dict lives and dies with the state, one entry per ambient object and
+    tolerance pair the state was asked about.
     """
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL, validate: bool = True):
@@ -353,7 +370,11 @@ class DensityState:
             tr = float(np.real(np.trace(M) if M.ndim == 2 else np.sum(M)))
             if abs(tr - 1.0) > tol:
                 raise InvariantViolation(f"density matrix trace {tr!r} differs from 1")
+        else:
+            M = M.view()    # the caller's array keeps its own flags
+        _frozen(M)
         self.dim = M.shape[0]
+        self._reports = {}
         if M.ndim == 1:
             self.diagonal = M
         else:
@@ -362,12 +383,13 @@ class DensityState:
     @cached_property
     def diagonal(self) -> np.ndarray | None:
         """The diagonal if the state is diagonal (see ``_diagonal``), else None."""
-        return _diagonal(self.matrix)
+        d = _diagonal(self.matrix)
+        return None if d is None else _frozen(d)
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """The d x d density matrix, materialized from ``diagonal`` on first read."""
-        return np.diag(self.diagonal)
+        return _frozen(np.diag(self.diagonal))
 
     def expect(self, A: np.ndarray) -> complex:
         """Value of the functional on A, tr(rho A)."""

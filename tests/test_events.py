@@ -12,8 +12,10 @@ from qevents import (DensityState, FiniteAlgebra, HeisenbergFrame,
                      centralizer, collapse, contains, detect_event, diagonal_algebra,
                      earliest_event, expect_onto_center, full_matrix_algebra, operator_norm,
                      run_trajectory, substream, unrecorded_update)
+import qevents.centralizers
 import qevents.events
 from qevents.events import _sample_paths
+from qevents.operators import DEFAULT_TOL, DEGENERACY_TOL
 
 from _helpers import (in_tensor_block, outcome, random_density, random_partition,
                       random_unitary, reference_centralizer, reference_detect,
@@ -766,6 +768,121 @@ class TestStateInFrameOnce:
         run_trajectory(frame, state, rng_seed=1)
         assert len(formed) == 1 and len(distances) == 3
         assert all(report is formed[0] for report in distances)
+
+
+def _spy_eigh(monkeypatch):
+    """Record the stack each checked eigh inside ``centralizer`` runs on."""
+    calls, real = [], qevents.centralizers._checked_eigh
+
+    def spy(X, tol):
+        calls.append(X.copy())
+        return real(X, tol)
+
+    monkeypatch.setattr(qevents.centralizers, "_checked_eigh", spy)
+    return calls
+
+
+def _same_verdict_exactly(v, ref):
+    assert (v.happened, v.admissible, v.distance, v.gap) == \
+        (ref.happened, ref.admissible, ref.distance, ref.gap)
+    assert v.threshold == ref.threshold or (np.isnan(v.threshold) and np.isnan(ref.threshold))
+
+
+class TestReportOnTheState:
+    """A state keeps its centralizer reports, one per ambient object and tolerances."""
+
+    def test_earliest_event_over_full_access_times_runs_one_eigh(self, monkeypatch):
+        calls = _spy_eigh(monkeypatch)
+        frame, state = _random_frame(rng(181), 4, 2, 5, "full", 2, "random")
+        report = earliest_event(frame, state)
+        assert len(report.verdicts) == 5 and len(calls) == 1
+
+    def test_a_second_trajectory_runs_no_eigh_on_the_initial_state(self, monkeypatch):
+        calls = _spy_eigh(monkeypatch)
+        frame, state = _random_frame(rng(182), 3, 2, 3, "full", 1, "random")
+        run_trajectory(frame, state, rng_seed=0)
+        on_initial = [X for X in calls if np.array_equal(X[0], state.matrix)]
+        assert len(on_initial) == 1
+        calls.clear()
+        run_trajectory(frame, state, rng_seed=1)
+        assert not any(np.array_equal(X[0], state.matrix) for X in calls)
+
+    def test_a_new_ambient_on_a_carried_state_runs_a_fresh_eigh(self, monkeypatch):
+        # full access, then diagonal access: a generic state does not fire at
+        # the first time, is carried to the second and fires there on its
+        # diagonal; its one child, a pure state, meets the diagonal algebra
+        # at the third time and ties there
+        gen = rng(183)
+        part = random_partition(gen, 3, 3, rotate=False)
+        D = diagonal_algebra(3)
+        frame = HeisenbergFrame.build((1.0, 2.0, 3.0), part, restrictions=[None, D, D])
+        state = random_density(gen, 3)
+        calls = _spy_eigh(monkeypatch)
+        assert len(earliest_event(frame, state).verdicts) == 3 and len(calls) == 2
+        calls.clear()
+        log = run_trajectory(frame, DensityState(state.matrix.copy()), rng_seed=0).branch_log
+        assert [b.fired for b in log] == [False, True, False]
+        assert [X.shape for X in calls] == [(1, 3, 3), (3, 1, 1), (3, 1, 1)]
+        calls.clear()
+        run_trajectory(frame, state, rng_seed=0)
+        assert [X.shape for X in calls] == [(3, 1, 1)]
+
+    def test_a_group_carried_beside_firing_groups_keeps_its_report(self, monkeypatch):
+        frame, state = _mixed_frame([0.1, 0.2, 0.3, 0.4])
+        uniforms = rng(151).random((400, 3))
+        calls = _spy_eigh(monkeypatch)
+        paths = list(_sample_paths(frame, state, 400, lambda m, j: uniforms[m, j]))
+        assert {p.branch_log[1].fired for p in paths} == {True, False}
+        # one report per group: the root at t = 1, its two children at t = 2,
+        # and at t = 3 the two children of the group that fired at t = 2; the
+        # pure group skipped at t = 2 keeps its report, since the ambient stays
+        assert len({p.outcomes[:2] for p in paths}) == 3 and len(calls) == 1 + 2 + 2
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["factor", "diagonal", "scalars"]),
+           shape=st.sampled_from([(n, m) for n in range(1, 5) for m in range(1, 4)]),
+           scalars=st.integers(1, 2), outcomes=st.integers(1, 3),
+           state_kind=st.sampled_from(["generic", "merged", "near", "deficient", "aligned"]),
+           order=st.permutations(range(3)), seed=st.integers(0, 2**32 - 1))
+    def test_a_reused_state_gives_the_verdicts_of_a_fresh_copy(self, kind, shape, scalars,
+                                                               outcomes, state_kind, order,
+                                                               seed):
+        # "factor" is M_n (x) 1_m, the full algebra when m = 1; "scalars" adds
+        # scalar blocks.  Each key clusters "merged" and "near" states apart.
+        keys = [(DEFAULT_TOL, DEGENERACY_TOL), (1e-10, 1e-10), (DEFAULT_TOL, 1e-6)]
+        gen = rng(seed)
+        ambient, part, state = _block_instance(gen, kind, *shape, scalars, outcomes, state_kind)
+        frame = HeisenbergFrame((1.0, 2.0), None, ((part,), (part,)), (ambient, ambient))
+        for j in order:
+            centralizer(ambient, state, *keys[j])
+        first = earliest_event(frame, state).verdicts
+        again = earliest_event(frame, state).verdicts
+        fresh = earliest_event(frame, DensityState(state.matrix.copy())).verdicts
+        for row, row_again, row_fresh in zip(first, again, fresh):
+            for v, w, ref in zip(row, row_again, row_fresh):
+                _same_verdict_exactly(v, ref)
+                _same_verdict_exactly(w, ref)
+        reports = [centralizer(ambient, state, *key) for key in keys]
+        assert len({id(r) for r in reports}) == len(keys)
+        for key, report in zip(keys, reports):
+            assert centralizer(ambient, state, *key) is report
+            ref = centralizer(ambient, DensityState(state.matrix.copy()), *key)
+            for field in ("frame", "starts", "atoms", "multiplicities", "clusters",
+                          "eigenvalues"):
+                assert np.array_equal(getattr(report, field), getattr(ref, field))
+
+    @pytest.mark.parametrize("access", ["full", "diagonal"])
+    def test_trajectories_do_not_depend_on_call_order(self, access):
+        # aligned states fire at the first time, and some later times carry over
+        frame, state = _random_frame(rng(184), 4, 2, 4, access, 2, "aligned")
+        other = DensityState(state.matrix.copy())
+        forward = {s: run_trajectory(frame, state, rng_seed=s) for s in range(10)}
+        backward = {s: run_trajectory(frame, other, rng_seed=s) for s in reversed(range(10))}
+        for s in range(10):
+            a, b = forward[s], backward[s]
+            assert a.history == b.history and a.branch_log == b.branch_log
+            assert a.final_state.matrix.tobytes() == b.final_state.matrix.tobytes()
+        assert any(not b.fired for r in forward.values() for b in r.branch_log)
 
 
 def _generic_full_access(d, seed):

@@ -180,6 +180,22 @@ class TestDensityState:
             assert w.min() >= -1e-12
             assert w.sum() == pytest.approx(1.0)
 
+    def test_views_are_read_only_and_the_callers_array_stays_writable(self):
+        M = np.diag([0.25, 0.75]).astype(complex)
+        state = DensityState(M, validate=False)
+        assert np.shares_memory(state.matrix, M)
+        for view in (state.matrix, state.diagonal):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 0.5
+        assert M.flags.writeable
+        M[0, 0] = 0.25
+        diag = np.array([0.25, 0.75], dtype=complex)
+        for state in (DensityState(diag, validate=False), DensityState(diag), DensityState(M)):
+            for view in (state.diagonal, state.matrix):
+                with pytest.raises(ValueError, match="read-only"):
+                    view[0] = 0.5
+        assert diag.flags.writeable and M.flags.writeable
+
 
 class TestPartitionOfUnity:
     def test_must_sum_to_identity(self):
