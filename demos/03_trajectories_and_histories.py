@@ -13,8 +13,8 @@ import numpy as np
 
 from qevents import (DensityState, HeisenbergFrame, MeasurementProtocol,
                      PartitionOfUnity, consistency_check, enumerate_protocols,
-                     lsw_probability, run_trajectory, sampler_vs_measure,
-                     substream)
+                     lsw_probability, run_trajectory, sample_trajectories,
+                     sampler_vs_measure, substream)
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E22 = np.diag([0.0, 1.0]).astype(complex)
@@ -60,7 +60,6 @@ a = run_trajectory(frame, rho, rng_seed=substream(5, 0))
 b = run_trajectory(frame, rho, rng_seed=substream(5, 0))
 print(f"  same seed, same history: "
       f"{[r.outcome for r in a.history] == [r.outcome for r in b.history]}")
-seqs = {tuple(r.outcome for r in
-              run_trajectory(frame, rho, rng_seed=substream(5, k)).history)
-        for k in range(12)}
+# sample k of the batch is the trajectory run_trajectory gives on substream(5, k)
+seqs = {path.outcomes for path in sample_trajectories(frame, rho, 12, seed=5)}
 print(f"  12 streams produce {len(seqs)} distinct outcome sequences")

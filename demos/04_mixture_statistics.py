@@ -13,8 +13,8 @@ Run with:  python demos/04_mixture_statistics.py
 
 import numpy as np
 
-from qevents import (DeFinettiModel, MeasurementProtocol, born_rule_experiment,
-                     commuting_realization, detection_time,
+from qevents import (ClassificationBand, DeFinettiModel, MeasurementProtocol,
+                     born_rule_experiments, commuting_realization, detection_time,
                      exact_protocol_probability, lsw_probability, posterior,
                      posterior_entropies, relative_entropy, sample_protocols,
                      sanov_check)
@@ -25,9 +25,10 @@ print(f"  weights {model.weights}, click probabilities {model.p_plus}, "
       f"gap kappa={model.kappa}")
 
 print("\n== Band masses converge to the weights ==")
-for n in (70, 200, 500):
-    exp = born_rule_experiment(model, n, 20_000, seed=0)
-    print(f"  n={n:4d}: sampled mass(0)={exp.empirical[0]:.4f} "
+# one pass of the click stream serves all three lengths
+bands = [ClassificationBand.from_schedule(n) for n in (70, 200, 500)]
+for exp in born_rule_experiments(model, bands, 20_000, seed=0):
+    print(f"  n={exp.band.n:4d}: sampled mass(0)={exp.empirical[0]:.4f} "
           f"(exact {exp.exact_mass[0]:.4f}, weight 0.4), "
           f"coverage={exp.coverage:.4f}")
 

@@ -18,19 +18,20 @@ from .centralizers import (CentralizerReport, IncoherenceDefect,
                            expect_onto_center, expect_onto_centralizer,
                            incoherence_defect, minimal_projections)
 from .events import (BranchRecord, DetectionVerdict, EarliestEventReport,
-                     EventRecord, HeisenbergFrame, TrajectoryResult,
+                     EventRecord, HeisenbergFrame, SampledPath, TrajectoryResult,
                      admissible_threshold, born_probabilities, collapse,
                      detect_event, earliest_event, run_trajectory,
-                     unrecorded_update)
+                     sample_trajectories, unrecorded_update)
 from .histories import (ConsistencyReport, MeasurementProtocol,
                         consistency_check, enumerate_protocols,
                         lsw_probability, sampler_vs_measure)
 from .mesoscopic import (BornExperiment, ClassificationBand, DeFinettiModel,
                          DetectionTime, Posterior, ProtocolSample, SanovReport,
-                         SanovRow, born_rule_experiment, classify,
-                         classify_frequencies, commuting_realization,
+                         SanovRow, born_rule_experiment, born_rule_experiments,
+                         classify, classify_frequencies, commuting_realization,
                          detection_time, exact_protocol_probability, frequency,
-                         posterior, posterior_entropies, relative_entropy,
+                         log_band_mass, log_band_masses, posterior,
+                         posterior_entropies, relative_entropy,
                          sample_protocols, sanov_check)
 from .seeding import substream
 

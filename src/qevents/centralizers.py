@@ -115,18 +115,21 @@ def centralizer(ambient: FiniteAlgebra, state: DensityState,
     each by its multiplicity m_i.
 
     The report is kept on the state (``DensityState._reports``), so another
-    call with the same ambient object and tolerances returns it again.
+    call with the same ambient object and tolerances returns it again.  Every
+    full matrix algebra of one dimension has the same report, so those share
+    one entry, keyed by ("full", dimension).
     """
-    key = (id(ambient), tol, degeneracy_tol)
+    d, V = ambient.dim, ambient.unitary
+    full = ambient.blocks == ((d, 1),)
+    key = (("full", d) if full else id(ambient), tol, degeneracy_tol)
     report = state._reports.get(key)
     if report is not None:
         return report
     if not ambient.contains_identity:
         raise InvariantViolation("ambient algebra must contain the identity")
-    if state.dim != ambient.dim:
+    if state.dim != d:
         raise ValueError("state and algebra dimensions differ")
-    d, V = ambient.dim, ambient.unitary
-    if ambient.blocks == ((d, 1),):
+    if full:
         V, groups, stacks = None, [np.arange(d).reshape(1, d, 1)], [state.matrix[None]]
     else:
         groups = [cols for cols, _ in ambient._groups]

@@ -16,23 +16,24 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
+from typing import Callable
 
 import numpy as np
 
 from .algebras import FiniteAlgebra, diagonal_algebra
 from .errors import InvariantViolation
-from .events import HeisenbergFrame, _sample_paths, earliest_event, detect_event
+from .events import HeisenbergFrame, detect_event, earliest_event, sample_trajectories
 from .histories import MeasurementProtocol, consistency_check, lsw_probability
 from .mesoscopic import (CLASSIFICATION_EXPONENT, DECAY_EXPONENT, LN2,
-                         ClassificationBand, DeFinettiModel, _born_experiment,
-                         _log_band_masses, _sample_lengths, detection_time,
-                         posterior_entropies, relative_entropy)
+                         ClassificationBand, DeFinettiModel, born_rule_experiments,
+                         detection_time, log_band_masses, posterior_entropies,
+                         relative_entropy)
 from .operators import DensityState, PartitionOfUnity
-from .seeding import _stream_uniforms
 
 SCHEMA = "qevents-config/1"
 
@@ -128,14 +129,14 @@ def _label(obj):
     raise ConfigError(f"labels must be strings or integers, got {obj!r}")
 
 
-def _restriction(obj, dim: int, ctx: str) -> FiniteAlgebra | None:
+def _restriction(obj, diagonal: Callable[[], FiniteAlgebra], ctx: str) -> FiniteAlgebra | None:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"{ctx}: a restriction must be an object with 'kind'")
     kind = obj["kind"]
     if kind == "full":
         return None
     if kind == "diagonal":
-        return diagonal_algebra(dim)
+        return diagonal()
     if kind == "span":
         basis = [_matrix(m, f"{ctx}.basis[{k}]") for k, m in enumerate(obj.get("basis", []))]
         if not basis:
@@ -188,7 +189,10 @@ def _build_frame(model: dict) -> tuple[HeisenbergFrame, DensityState]:
         raw = model["restrictions"]
         if not isinstance(raw, list) or len(raw) != len(times):
             raise ConfigError(f"{ctx}.restrictions: needs one entry per time")
-        kwargs["restrictions"] = [_restriction(r, dim, f"{ctx}.restrictions[{k}]")
+        # one algebra for all "diagonal" entries: the frame skips checking it
+        # inside itself, and a state's centralizer report serves all its times
+        diagonal = functools.cache(lambda: diagonal_algebra(dim))
+        kwargs["restrictions"] = [_restriction(r, diagonal, f"{ctx}.restrictions[{k}]")
                                   for k, r in enumerate(raw)]
 
     try:
@@ -335,17 +339,13 @@ def cmd_trajectory(cfg: dict, seed: int):
     if keep < 0:
         raise ConfigError(f"run.keep_histories must be at least 0, got {keep!r}")
 
-    # sample i keeps its own stream: its j-th event takes the j-th uniform of
-    # substream(seed, i), whatever the other samples draw
-    steps = len(frame.times)
-    flat = _stream_uniforms(seed, samples, steps).ravel()
     counts: dict = {}
     first: dict = {}        # outcome -> (sample, event index) where it first occurs
     events_total = 0
     kept: dict = {}
-    for path in _sample_paths(frame, initial, samples, lambda members, j: flat[members * steps + j],
-                              safety=safety, record_policy=policy,
-                              require_detection=require_detection):
+    for path in sample_trajectories(frame, initial, samples, seed, safety=safety,
+                                    record_policy=policy,
+                                    require_detection=require_detection):
         n, lead = path.members.size, int(path.members[0])
         for e, label in enumerate(path.outcomes):
             counts[label] = counts.get(label, 0) + n
@@ -434,16 +434,11 @@ def cmd_mesoscopic(cfg: dict, seed: int):
             bands.append(ClassificationBand.from_schedule(n, cls_exp))
         except ValueError as exc:
             raise ConfigError(f"run.n_values: n={n} unusable ({exc})") from None
-    # every length counts a prefix of one click stream, drawn once
-    samples = (_sample_lengths(model, n_values, count, seed, 0) if count
-               else [None] * len(bands))
-
     H = model.num_hypotheses
     rows = []
-    for band, sample in zip(bands, samples):
-        n = band.n
-        exp = _born_experiment(model, band, sample)
-        log_cross = _log_band_masses(n, band.epsilon, model.p_plus, model.p_plus)
+    for exp in born_rule_experiments(model, bands, count, seed):
+        n = exp.band.n
+        log_cross = log_band_masses(n, exp.band.epsilon, model.p_plus, model.p_plus)
         entropy_by_nu: dict[int, float | None] = {nu: None for nu in range(H)}
         if count:
             ents = posterior_entropies(model, exp.sample)

@@ -25,7 +25,7 @@ from .centralizers import CentralizerReport, _center_distance, _state_in_frame, 
 from .errors import InadmissibleThresholdError, InvariantViolation
 from .operators import (DEFAULT_TOL, DensityState, PartitionOfUnity, _checked_norm,
                         _unitarity_defect, as_operator)
-from .seeding import substream
+from .seeding import _stream_uniforms, substream
 
 logger = logging.getLogger(__name__)
 
@@ -40,6 +40,7 @@ __all__ = [
     "BranchRecord",
     "EarliestEventReport",
     "TrajectoryResult",
+    "SampledPath",
     "admissible_threshold",
     "detect_event",
     "earliest_event",
@@ -47,6 +48,7 @@ __all__ = [
     "collapse",
     "unrecorded_update",
     "run_trajectory",
+    "sample_trajectories",
 ]
 
 
@@ -125,8 +127,9 @@ class HeisenbergFrame:
             if R is not None and R.dim != dim:
                 raise ValueError("restriction algebra dimension differs from frame dimension")
         for k in range(len(restr) - 1):
-            # later knowledge is a subset of earlier knowledge
-            if restr[k] is None or restr[k].algebra_dim == full_dim:
+            # later knowledge is a subset of earlier knowledge; an algebra that
+            # repeats lies in itself, unchecked
+            if restr[k] is None or restr[k + 1] is restr[k] or restr[k].algebra_dim == full_dim:
                 continue
             if restr[k + 1] is None:
                 raise InvariantViolation(
@@ -474,17 +477,51 @@ def run_trajectory(frame: HeisenbergFrame, initial: DensityState,
     return TrajectoryResult(path.history, DensityState(path.state), path.branch_log)
 
 
-class _Path:
+def sample_trajectories(frame: HeisenbergFrame, initial: DensityState, samples: int,
+                        seed: int = 0, safety: float = 0.5, record_policy="always",
+                        require_detection: bool = True,
+                        tol: float = DEFAULT_TOL) -> Iterator[SampledPath]:
+    """``samples`` trajectories through the frame, one ``SampledPath`` per distinct
+    outcome path.
+
+    Sample i is the trajectory ``run_trajectory(..., rng_seed=substream(seed, i))``
+    would give: its j-th event draws the j-th uniform of ``substream(seed, i)``,
+    whatever the other samples draw.  The samples advance together, grouped by
+    outcome prefix, and the paths come out in the order of a depth-first walk
+    over outcome labels, each with the ascending indices of its samples; a
+    path's records are built only when read.  The uniforms are formed in one
+    vectorized pass (``seeding._stream_uniforms``).
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples!r}")
+    block = _stream_uniforms(seed, samples, len(frame.times))
+    return _block_paths(frame, initial, block, safety=safety, record_policy=record_policy,
+                        require_detection=require_detection, tol=tol)
+
+
+def _block_paths(frame: HeisenbergFrame, initial: DensityState, block: np.ndarray,
+                 **kwargs) -> Iterator[SampledPath]:
+    """``_sample_paths`` over the first ``block.shape[1]`` frame times, sample i
+    taking the uniform of its j-th event from ``block[i, j]``."""
+    samples, steps = block.shape
+    flat = block.ravel()
+    return _sample_paths(frame, initial, samples, lambda members, j: flat[members * steps + j],
+                         steps=steps, **kwargs)
+
+
+class SampledPath:
     """One distinct outcome path of a sampled batch and the samples that took it.
 
-    ``entries`` holds one plain tuple of ``BranchRecord`` fields per time;
-    ``branch_log``, ``history`` and ``outcomes`` are built from them on first
-    read (``functools.cached_property``).
+    ``members`` holds the samples' indices, ascending, and ``state`` the
+    path's final density matrix.  ``entries`` holds one plain tuple of
+    ``BranchRecord`` fields per time; ``branch_log``, ``history`` and
+    ``outcomes`` are built from them on first read
+    (``functools.cached_property``).
     """
 
     def __init__(self, members: np.ndarray, state: np.ndarray, entries: tuple):
-        self.members = members      # sample indices, ascending
-        self.state = state          # final density matrix of the path
+        self.members = members
+        self.state = state
         self.entries = entries
 
     @cached_property
@@ -505,7 +542,7 @@ def _sample_paths(frame: HeisenbergFrame, initial: DensityState, samples: int,
                   draw: Callable[[np.ndarray, np.ndarray], np.ndarray],
                   safety: float = 0.5, record_policy="always",
                   require_detection: bool = True, tol: float = DEFAULT_TOL,
-                  steps: int | None = None) -> Iterator[_Path]:
+                  steps: int | None = None) -> Iterator[SampledPath]:
     """Sample ``samples`` trajectories over the first ``steps`` frame times at once.
 
     Samples that drew the same outcomes so far share one state, so the batch
@@ -534,7 +571,7 @@ def _sample_paths(frame: HeisenbergFrame, initial: DensityState, samples: int,
     come out in the order of a depth-first walk over outcome labels, each
     as soon as its chunk is complete, and memory stays within about steps x
     (outcomes per time) chunks whatever the number of groups.  A path's
-    records are built only when read (``_Path``).
+    records are built only when read (``SampledPath``).
     """
     steps = len(frame.times) if steps is None else steps
     should_record = _resolve_policy(record_policy)
@@ -706,9 +743,9 @@ def _leaves(rho: np.ndarray, members: np.ndarray, gid: np.ndarray, entries: list
                 "trajectory state left the density-matrix manifold "
                 f"(hermiticity defect {h:.3e}, trace drift {e:.3e})")
     if len(rho) == 1:
-        yield _Path(members, rho[0], entries[0])
+        yield SampledPath(members, rho[0], entries[0])
         return
     ordered = members[np.argsort(gid, kind="stable")]
     ends = np.bincount(gid, minlength=len(rho)).cumsum().tolist()
     for g, (a, b) in enumerate(zip([0] + ends, ends)):
-        yield _Path(ordered[a:b], rho[g], entries[g])
+        yield SampledPath(ordered[a:b], rho[g], entries[g])

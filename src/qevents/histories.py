@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvariantViolation
-from .events import _CHUNK_ELEMENTS, HeisenbergFrame, _sample_paths
+from .events import _CHUNK_ELEMENTS, HeisenbergFrame, _block_paths
 from .operators import DensityState, PartitionOfUnity
 from .seeding import substream
 
@@ -240,9 +240,8 @@ def sampler_vs_measure(frame: HeisenbergFrame, initial: DensityState,
         exact[outcomes] = _clamp(mass)
 
     _walk_outcome_tree(frame, initial, steps, record)
-    flat = substream(seed).random((samples, steps)).ravel()
-    paths = _sample_paths(frame, initial, samples, lambda members, j: flat[members * steps + j],
-                          record_policy="always", require_detection=False, steps=steps)
+    paths = _block_paths(frame, initial, substream(seed).random((samples, steps)),
+                         record_policy="always", require_detection=False)
     counts = {path.outcomes: path.members.size for path in paths}
     tv = 0.0
     seen = set(exact) | set(counts)

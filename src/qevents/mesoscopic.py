@@ -50,12 +50,14 @@ __all__ = [
     "classify",
     "classify_frequencies",
     "born_rule_experiment",
+    "born_rule_experiments",
     "posterior",
     "posterior_entropies",
     "relative_entropy",
     "sanov_check",
     "detection_time",
     "log_band_mass",
+    "log_band_masses",
     "commuting_realization",
 ]
 
@@ -119,9 +121,10 @@ def _binom_logpmf(ks, n: int, qs: Sequence[float]) -> np.ndarray:
     return rows
 
 
-def _log_band_masses(n: int, epsilon: float, centers: Sequence[float],
-                     qs: Sequence[float]) -> list[list[float]]:
-    """``[i][j]`` is ``log_band_mass(n, epsilon, centers[i], qs[j])``.
+def log_band_masses(n: int, epsilon: float, centers: Sequence[float],
+                    qs: Sequence[float]) -> list[list[float]]:
+    """log of exact binomial band masses: ``[i][j]`` is
+    ``log_band_mass(n, epsilon, centers[i], qs[j])``.
 
     The log-pmf rows are computed once per q, at the counts some band holds,
     and each band takes a masked ``_logsumexp`` of them.
@@ -409,9 +412,10 @@ def sample_protocols(model: DeFinettiModel, n: int, count: int,
     count + i*n + j, shifted right by 11, is below ceil(p * 2**53) for its
     hypothesis' p, which is exactly numpy's ``random() < p``.  A shorter n
     from the same (seed, stream) therefore reads a prefix of the same
-    stream, and the CLI counts all its lengths from one pass.  Only the +1
-    counts are kept, with memory independent of n; the outcome matrix is
-    replayed from (seed, stream) when ``ProtocolSample.outcomes`` is read.
+    stream, and ``born_rule_experiments`` counts all its lengths from one
+    pass.  Only the +1 counts are kept, with memory independent of n; the
+    outcome matrix is replayed from (seed, stream) when
+    ``ProtocolSample.outcomes`` is read.
     """
     n = int(n)
     count = int(count)
@@ -529,26 +533,55 @@ def born_rule_experiment(model: DeFinettiModel, n: int, count: int,
 
     As n grows the band mass of hypothesis nu converges to its prior weight
     and the classified fraction (coverage) converges to 1; at small n the
-    exact columns quantify how far short the bands fall.
+    exact columns quantify how far short the bands fall.  This is the
+    one-band case of ``born_rule_experiments``, on the band of
+    ``ClassificationBand.from_schedule(n, exponent)``.
     """
     band = ClassificationBand.from_schedule(int(n), exponent)
-    sample = sample_protocols(model, band.n, count, seed) if count else None
-    return _born_experiment(model, band, sample)
+    return _born_experiments(model, [band], count, seed)[0]
+
+
+def born_rule_experiments(model: DeFinettiModel, bands: Sequence[ClassificationBand],
+                          count: int, seed: int = 0) -> list[BornExperiment]:
+    """``born_rule_experiment`` for each band, all samples counted from one pass.
+
+    Each band's ``count`` protocols of length ``band.n`` read a prefix of the
+    same click stream of ``substream(seed, 0)``, so the experiment of a band
+    equals the one it would get alone, its sample that of
+    ``sample_protocols(model, band.n, count, seed)``, while count * max(n)
+    click words are drawn once.  With count 0 only the exact columns are
+    filled.
+    """
+    return _born_experiments(model, bands, count, seed)
+
+
+def _born_experiments(model: DeFinettiModel, bands: Sequence[ClassificationBand],
+                      count: int, seed) -> list[BornExperiment]:
+    """``born_rule_experiments``; an overlap warning points at the line that
+    called the public function."""
+    count = int(count)
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    samples = (_sample_lengths(model, [band.n for band in bands], count, seed, 0) if count
+               else [None] * len(bands))
+    out = []
+    for band, sample in zip(bands, samples):
+        msg = _overlap_message(model, band)
+        if msg:
+            warnings.warn(msg, stacklevel=3)
+        out.append(_born_experiment(model, band, sample))
+    return out
 
 
 def _born_experiment(model: DeFinettiModel, band: ClassificationBand,
                      sample: ProtocolSample | None) -> BornExperiment:
-    """``born_rule_experiment`` of a drawn sample (None: exact columns only).
+    """The experiment of one band on a drawn sample (None: exact columns only).
 
     A protocol's label depends only on its +1 count, so the n+1 grid points
     are classified once and the sampled fractions are read off the count
     table ``np.bincount(sample.plus)``.
     """
     n = band.n
-    msg = _overlap_message(model, band)
-    if msg:
-        warnings.warn(msg, stacklevel=3)
-
     matches = _band_matches(np.arange(n + 1) / n, model, band)     # (n+1, H)
     hits = matches.sum(axis=1)
     labels = np.where(hits == 1, matches.argmax(axis=1), -1)
@@ -656,9 +689,10 @@ def _kl_bernoulli_bits(p: float, q: float) -> float:
 def log_band_mass(n: int, epsilon: float, center: float, q: float) -> float:
     """log of the exact binomial mass of {k : |k/n - center| < epsilon} under q.
 
-    Clamped at 0: rounding can push a band that holds all the mass just above it.
+    Clamped at 0: rounding can push a band that holds all the mass just above
+    it.  The scalar case of ``log_band_masses``.
     """
-    return _log_band_masses(n, epsilon, [center], [q])[0][0]
+    return log_band_masses(n, epsilon, [center], [q])[0][0]
 
 
 @dataclass(frozen=True)
@@ -790,7 +824,7 @@ def detection_time(model: DeFinettiModel, threshold: float = math.exp(-1.0),
     n_star = n_star_eps = n_star_mass = None
     for n in range(1, max_n + 1):
         eps = min(float(n) ** (-exponent), ceiling)
-        log_masses = _log_band_masses(n, eps, model.p_plus, model.p_plus)
+        log_masses = log_band_masses(n, eps, model.p_plus, model.p_plus)
         worst = max(math.exp(log_masses[i][j]) for i, j, _ in pairs)
         if worst <= threshold:
             n_star, n_star_eps, n_star_mass = n, eps, worst

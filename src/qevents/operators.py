@@ -349,10 +349,12 @@ class DensityState:
 
     The centralizer reports computed for the state are cached in
     ``_reports``, a dict keyed by (id(ambient), tol, degeneracy_tol) that
-    only ``centralizers.centralizer`` reads and fills.  Each report holds
-    its ambient, so a keyed id cannot be reused while its entry lives; the
-    dict lives and dies with the state, one entry per ambient object and
-    tolerance pair the state was asked about.
+    only ``centralizers.centralizer`` reads and fills; a full matrix algebra
+    is keyed by ("full", dim) in place of its id, as every one of a
+    dimension has the same report.  Each report holds its ambient, so a
+    keyed id cannot be reused while its entry lives; the dict lives and
+    dies with the state, one entry per ambient and tolerance pair the state
+    was asked about, all full matrix algebras counting as one ambient.
     """
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL, validate: bool = True):

@@ -678,7 +678,7 @@ def reference_binom_logpmf(ks, n: int, p: float) -> np.ndarray:
 def reference_log_band_mass(n: int, epsilon: float, center: float, q: float) -> float:
     """``log_band_mass`` from a log-pmf computed on the band alone.
 
-    The test oracle for ``mesoscopic._log_band_masses``, which computes one
+    The test oracle for ``mesoscopic.log_band_masses``, which computes one
     row per q and masks it once per band.
     """
     ks = np.arange(n + 1)

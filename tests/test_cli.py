@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -168,13 +169,13 @@ class TestConfigErrors:
 
     def test_records_are_built_only_for_kept_samples(self, tmp_path, capsys, monkeypatch):
         built = []
-        real = qevents.events._Path.history
+        real = qevents.events.SampledPath.history
 
         def spy(path):
             built.append(path.members.tolist())
             return real.func(path)
 
-        monkeypatch.setattr(qevents.events._Path, "history", property(spy))
+        monkeypatch.setattr(qevents.events.SampledPath, "history", property(spy))
         cfg = hadamard_config(tmp_path, samples=300, seed=7, keep_histories=3)
         assert cli.main(["trajectory", "--config", cfg]) == 0
         assert len(json.loads(capsys.readouterr().out)["histories"]) == 3
@@ -186,7 +187,7 @@ class TestConfigErrors:
         def boom(*args, **kwargs):
             raise InvariantViolation("state left the manifold")
 
-        monkeypatch.setattr(cli, "_sample_paths", boom)
+        monkeypatch.setattr(cli, "sample_trajectories", boom)
         assert cli.main(["trajectory", "--config", cfg]) == 2
         assert "numerical invariant failed" in capsys.readouterr().err
 
@@ -296,6 +297,50 @@ class TestTrajectoryGolden:
         expected = sorted(counts.items(), key=lambda kv: str(kv[0]))
         assert [row["outcome"] for row in out["histogram"]] == ["1", 1, "x", "y"]
         assert [(row["outcome"], row["count"]) for row in out["histogram"]] == expected
+
+
+class TestDetectGolden:
+    """sha256 of `qevents detect` JSON, pinned before the CLI's entry points went public."""
+
+    GATED = {
+        "schema": SCHEMA,
+        "model": {
+            "kind": "frame",
+            "times": [1.0, 2.0, 3.0, 4.0],
+            "initial_state": {"re": [[0.5, 0.2, 0.0], [0.2, 0.3, 0.0], [0.0, 0.0, 0.2]]},
+            "step_propagator": [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+            "base_partitions": [{"diagonal_labels": ["a", "b", "b"]},
+                                {"diagonal_labels": ["x", "x", "y"]}],
+            # full access misses the event the diagonal restriction then finds
+            "restrictions": [{"kind": "full"}] + [{"kind": "diagonal"}] * 3,
+        },
+    }
+
+    @pytest.mark.parametrize("name,seed,code,digest", [
+        ("diagonal_model.json", "0", 0,
+         "0b270e45c3f2bb57ffcbce462ffe51e84ed00d1297215f06f3a6f90ff7e20747"),
+        ("diagonal_model.json", "7", 0,
+         "83e10bd2879692873bf33f742465bd8f9d0c6de7c7e428c9cabf304a8872c935"),
+        ("diagonal_trajectories.json", "0", 0,
+         "3dd2dbe9f2b7549dd9deff0ceca28eabdf7190cd1ae47098bbb3a332cbebe481"),
+        ("diagonal_trajectories.json", "7", 0,
+         "e710aaa07c269217a4bc97eff211bf73459fe94954c21105a8b919139b64d16c"),
+        ("hadamard3.json", "0", 0,
+         "ed972be398833f2bdc59cff9c8a6a9aa9ce6cd81061ec808273545365b7fb641"),
+        ("hadamard3.json", "7", 0,
+         "8b24e868b75f02d96d8d63052961dca9c81239fa0467408d30c471f356c6e3d4"),
+        ("superposition_model.json", "0", 3,
+         "3f571957508b7946024d634ce790cbbf088d0ba1c2640262ee97935c99ab6bb8"),
+        ("superposition_model.json", "7", 3,
+         "5ccb0eeda050d8e21098cedbeaea298f67d8d27a5583198559571d366b0f6c4c"),
+        ("gated", "0", 0, "21034d7e185f36361ccd0acca2699319ffa45caa79adea84963e414cf1117ba5"),
+        ("gated", "7", 0, "e8e6505a50753e22230d07577634a5f5c5e0efdf7590cc3df6b19e7554ab63bf"),
+    ])
+    def test_output_digest(self, tmp_path, capsys, name, seed, code, digest):
+        cfg = (write_config(tmp_path, self.GATED) if name == "gated"
+               else str(CONFIGS / name))
+        assert cli.main(["detect", "--config", cfg, "--seed", seed]) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestLswGolden:
@@ -579,6 +624,29 @@ class TestRestrictionsConfig:
         assert cli.main(["detect", "--config", cfg]) == 3
         out = json.loads(capsys.readouterr().out)
         assert out["verdicts"][0]["distance"] == pytest.approx(17.0 / 30.0, rel=1e-9)
+
+
+    def test_diagonal_entries_share_one_algebra(self):
+        model = dict(TestDetectGolden.GATED["model"])
+        model["restrictions"] = [{"kind": "diagonal"}, {"kind": "diagonal"},
+                                 {"kind": "full"}, {"kind": "diagonal"}]
+        with pytest.raises(cli.ConfigError, match="unrestricted access"):
+            cli._build_frame(model)
+        model["restrictions"] = [{"kind": "full"}] + [{"kind": "diagonal"}] * 3
+        frame, _ = cli._build_frame(model)
+        first = frame.restrictions[1]
+        assert first.blocks == ((1, 1),) * 3
+        assert all(R is first for R in frame.restrictions[1:])
+
+
+class TestPublicEntryPoints:
+    def test_cli_imports_no_private_name(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and (node.level > 0 or (node.module or "").startswith("qevents"))
+                   for alias in node.names if alias.name.startswith("_")]
+        assert private == []
 
 
 def demo_runs():

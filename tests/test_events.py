@@ -11,7 +11,7 @@ from qevents import (DensityState, FiniteAlgebra, HeisenbergFrame,
                      PartitionOfUnity, admissible_threshold, born_probabilities,
                      centralizer, collapse, contains, detect_event, diagonal_algebra,
                      earliest_event, expect_onto_center, full_matrix_algebra, operator_norm,
-                     run_trajectory, substream, unrecorded_update)
+                     run_trajectory, sample_trajectories, substream, unrecorded_update)
 import qevents.centralizers
 import qevents.events
 from qevents.events import _sample_paths
@@ -95,6 +95,28 @@ class TestFrameConstruction:
         D = FiniteAlgebra.from_span([E11, E22])
         with pytest.raises(InvariantViolation, match="nested"):
             HeisenbergFrame((1.0, 2.0), (I2, I2), ((PART,), (PART,)), (D, None))
+
+    def test_a_repeated_restriction_is_not_checked_against_itself(self):
+        # checking D inside D would materialize D.basis: d dense d x d
+        # matrices, 16 GB at d = 1024
+        script = (
+            "import time\n"
+            "import numpy as np\n"
+            "from qevents import HeisenbergFrame, PartitionOfUnity, diagonal_algebra\n"
+            "low = np.arange(1024) < 512\n"
+            "part = PartitionOfUnity(('a', 'b'), (low.astype(float), (~low).astype(float)))\n"
+            "start = time.perf_counter()\n"
+            "frame = HeisenbergFrame.build((1.0, 2.0, 3.0, 4.0), part,\n"
+            "                              restrictions=diagonal_algebra(1024))\n"
+            "elapsed = time.perf_counter() - start\n"
+            "# VmHWM, the peak RSS since exec: ru_maxrss may count the forking parent's\n"
+            "peak = next(l for l in open('/proc/self/status') if l.startswith('VmHWM'))\n"
+            "print(elapsed, int(peak.split()[1]) * 1024)\n"
+        )
+        proc = run_capped(script)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        seconds, peak = map(float, proc.stdout.split())
+        assert seconds < 1.0 and peak < 200 * 2 ** 20, (seconds, peak / 2 ** 20)
 
     def test_index_of_unknown_time(self):
         with pytest.raises(ValueError, match="not in the frame"):
@@ -360,14 +382,15 @@ class TestBatchedSampler:
             _assert_same_trajectory(res.history, res.branch_log, res.final_state.matrix, ref)
         assert repr(mine.bit_generator.state) == repr(theirs.bit_generator.state)
 
-        # one batch, one generator per sample (the command-line contract)
-        uniforms = np.array([substream(seed, 2 + i).random(steps) for i in range(samples)])
-        paths = list(_sample_paths(frame, state, samples, lambda m, j: uniforms[m, j], **kw))
+        # one batch, one stream per sample (the command-line contract): sample
+        # i is the trajectory run_trajectory gives on substream(seed, i)
+        paths = list(sample_trajectories(frame, state, samples, seed=seed, **kw))
         assert sorted(i for p in paths for i in p.members.tolist()) == list(range(samples))
         for path in paths:
             for i in path.members.tolist():
-                ref = reference_trajectory(frame, state, rng_seed=substream(seed, 2 + i), **kw)
-                _assert_same_trajectory(path.history, path.branch_log, path.state, ref)
+                for run in (run_trajectory, reference_trajectory):
+                    ref = run(frame, state, rng_seed=substream(seed, i), **kw)
+                    _assert_same_trajectory(path.history, path.branch_log, path.state, ref)
 
         # one batch from one (samples, steps) block of a shared generator, as
         # sampler_vs_measure draws it: every step fires, so row i is sample i
@@ -380,6 +403,10 @@ class TestBatchedSampler:
             for path in paths:
                 for i in path.members.tolist():
                     _assert_same_trajectory(path.history, path.branch_log, path.state, refs[i])
+
+    def test_sample_trajectories_needs_a_sample(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            sample_trajectories(hadamard_frame(3), RHO_37, 0)
 
     def test_paths_group_samples_by_outcome_prefix(self):
         fr = hadamard_frame(3)
@@ -560,8 +587,8 @@ class TestSteppedSampler:
         def unread(self):
             raise AssertionError("records built")
 
-        monkeypatch.setattr(qevents.events._Path, "history", property(unread))
-        monkeypatch.setattr(qevents.events._Path, "branch_log", property(unread))
+        monkeypatch.setattr(qevents.events.SampledPath, "history", property(unread))
+        monkeypatch.setattr(qevents.events.SampledPath, "branch_log", property(unread))
         assert 0.0 <= sampler_vs_measure(hadamard_frame(3), RHO_37, 3, 200, seed=1) <= 1.0
 
 
@@ -837,6 +864,25 @@ class TestReportOnTheState:
         # and at t = 3 the two children of the group that fired at t = 2; the
         # pure group skipped at t = 2 keeps its report, since the ambient stays
         assert len({p.outcomes[:2] for p in paths}) == 3 and len(calls) == 1 + 2 + 2
+
+    def test_full_access_frames_share_one_report(self, monkeypatch):
+        # every full matrix algebra of a dimension has the same report, so a
+        # state used with many short-lived full-access frames keeps one
+        gen = rng(184)
+        part = random_partition(gen, 32, 2)
+        state = random_density(gen, 32)
+        calls = _spy_eigh(monkeypatch)
+        for seed in range(200):
+            frame = HeisenbergFrame.build((1.0, 2.0), part)
+            run_trajectory(frame, state, rng_seed=seed)
+        assert len(state._reports) == 1
+        assert sum(np.array_equal(X[0], state.matrix) for X in calls) == 1
+
+    def test_the_full_key_holds_the_dimension(self):
+        state = DensityState(np.diag([0.2, 0.3, 0.5]))
+        centralizer(full_matrix_algebra(3), state)
+        with pytest.raises(ValueError, match="dimensions differ"):
+            centralizer(full_matrix_algebra(4), state)
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(kind=st.sampled_from(["factor", "diagonal", "scalars"]),

@@ -9,14 +9,14 @@ from scipy.special import logsumexp, xlogy
 from scipy.stats import binom
 
 from qevents import (ClassificationBand, DeFinettiModel, born_rule_experiment,
-                     classify, classify_frequencies, commuting_realization,
-                     detection_time, exact_protocol_probability, frequency,
-                     lsw_probability, posterior, posterior_entropies,
+                     born_rule_experiments, classify, classify_frequencies,
+                     commuting_realization, detection_time, exact_protocol_probability,
+                     frequency, lsw_probability, posterior, posterior_entropies,
                      relative_entropy, sample_protocols, sanov_check)
 from qevents.histories import MeasurementProtocol
 from qevents.mesoscopic import (_CHUNK_WORDS, _binom_logpmf, _binom_pmf, _click_thresholds,
-                                 _log_band_masses, _logsumexp, _sample_lengths, _xlogy,
-                                 log_band_mass)
+                                 _logsumexp, _sample_lengths, _xlogy, log_band_mass,
+                                 log_band_masses)
 
 from qevents import mesoscopic
 
@@ -384,6 +384,37 @@ class TestBornExperiment:
             assert exp.empirical[nu] == pytest.approx(exp.exact_mass[nu], abs=0.02)
         assert exp.coverage == pytest.approx(exp.exact_coverage, abs=0.02)
 
+    @pytest.mark.parametrize("count", [0, 700])
+    @pytest.mark.filterwarnings("ignore:band half-width")
+    def test_several_bands_equal_one_band_each(self, count):
+        m = DeFinettiModel(np.array([0.2, 0.5, 0.3]), np.array([0.15, 0.5, 0.9]))
+        ns = [40, 7, 300, 40]
+        bands = [ClassificationBand.from_schedule(n) for n in ns]
+        exps = born_rule_experiments(m, bands, count, seed=9)
+        assert [e.band for e in exps] == bands
+        for n, exp in zip(ns, exps):
+            alone = born_rule_experiment(m, n, count, seed=9)
+            for field in ("count", "empirical", "coverage", "ambiguous",
+                          "exact_mass", "exact_coverage", "exact_ambiguous"):
+                assert getattr(exp, field) == getattr(alone, field), field
+            if count:
+                assert np.array_equal(exp.sample.plus, alone.sample.plus)
+                assert np.array_equal(exp.sample.latent, alone.sample.latent)
+            else:
+                assert exp.sample is None and alone.sample is None
+
+    def test_overlap_warnings_point_at_the_caller(self):
+        m = reference_model()
+        bands = [ClassificationBand.from_schedule(n) for n in (10, 12)]
+        with pytest.warns(UserWarning, match="overlap") as caught:
+            born_rule_experiment(m, 10, 5)
+            born_rule_experiments(m, bands, 5)
+        assert [w.filename for w in caught] == [__file__] * 3
+
+    def test_negative_count_is_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            born_rule_experiment(reference_model(), 500, -1)
+
     def test_coverage_improves_with_n(self):
         m = reference_model()
         with pytest.warns(UserWarning, match="overlap"):
@@ -600,7 +631,7 @@ class TestBandMassKernel:
     @settings(max_examples=100, deadline=None)
     def test_cross_masses_equal_per_call_masses(self, n, eps, ps):
         # the CLI's cross masses and detection_time's scan read this table
-        table = _log_band_masses(n, eps, ps, ps)
+        table = log_band_masses(n, eps, ps, ps)
         for i, center in enumerate(ps):
             assert log_band_mass(n, eps, center, ps[-1]) == \
                 reference_log_band_mass(n, eps, center, ps[-1])

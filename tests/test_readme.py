@@ -15,5 +15,6 @@ def test_python_blocks_run_in_order_in_one_namespace():
         exec(compile(block, f"README.md python block {k}", "exec"), namespace)
     # the quick tour's commented values
     assert namespace["v"].admissible is False
+    assert sum(namespace["counts"].values()) == 1000
     assert namespace["report"].max_marginal_residual <= 1e-12
     assert namespace["rep"].certified
