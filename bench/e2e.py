@@ -6,7 +6,10 @@ Run from anywhere, with no arguments:
 
 It records the machine, the cold start of the ``qevents`` command line for
 each subcommand on each config in ``demos/configs`` (best of 3 subprocesses),
-and scale probes, each in a child process capped at PROBE_SECONDS of wall
+the wall time of one Tier-1 run (``python -m pytest -q
+--continue-on-collection-errors`` from the repository root) with its
+slowest acceptance check (pytest's ``--durations``, the call phase), and
+scale probes, each in a child process capped at PROBE_SECONDS of wall
 time and PROBE_BYTES of address space.  A probe that hits its cap is
 recorded with ``capped`` set to "time" or "memory" instead of being dropped.
 Every child runs with BLAS_THREADS BLAS threads and imports this checkout's
@@ -18,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -113,6 +117,22 @@ def cold_start(command: str, config: Path, env: dict) -> dict:
             "exit_codes": sorted(codes)}
 
 
+def tier1(env: dict) -> dict:
+    """Wall time and summary line of one Tier-1 run, and its slowest acceptance check."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "--continue-on-collection-errors", "--durations=0"],
+                          cwd=ROOT, capture_output=True, text=True, env=env)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines() or ["no output"]
+    timing = re.compile(r"([\d.]+)s call\s+(tests/test_acceptance\.py::\S+)")
+    calls = [(float(m[1]), m[2]) for m in map(timing.match, lines) if m]
+    slowest = max(calls, default=None)
+    return {"wall_s": round(wall, 2), "exit_code": proc.returncode,
+            "summary": lines[-1].strip("= "),
+            "slowest_acceptance": slowest and {"test": slowest[1], "call_s": slowest[0]}}
+
+
 def probe(name: str, body: str, env: dict) -> dict:
     """Run one probe script in a capped child; its figures, or the cap it hit."""
     script = ("import resource, time\n"
@@ -141,11 +161,15 @@ def probe(name: str, body: str, env: dict) -> dict:
 def main() -> int:
     env = child_env()
     cold = [cold_start(command, config, env) for command, config in cli_runs()]
+    suite = tier1(env)
     probes = [probe(name, body, env) for name, body in PROBES.items()]
-    payload = {"machine": machine_record(), "cli_cold_start": cold, "probes": probes}
+    payload = {"machine": machine_record(), "cli_cold_start": cold, "tier1": suite,
+               "probes": probes}
     OUT.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     for row in cold:
         print(f"{row['command']:>10} {row['config']:<28} {row['best_s']:.3f} s")
+    print(f"Tier-1: {suite['summary']}, {suite['wall_s']:.1f} s wall; slowest acceptance "
+          f"check: {suite['slowest_acceptance']}")
     for row in probes:
         figure = (f"capped ({row['capped']})" if row["capped"]
                   else row.get("error") or f"{row['call_s']:.3f} s, {row['max_rss_mb']} MB")

@@ -105,7 +105,6 @@ def ambient_representative(ambient: FiniteAlgebra, state: DensityState) -> np.nd
 
 
 def centralizer(ambient: FiniteAlgebra, state: DensityState,
-                tol: float = DEFAULT_TOL,
                 degeneracy_tol: float = DEGENERACY_TOL) -> CentralizerReport:
     """Centralizer report of a state on an ambient algebra.
 
@@ -115,13 +114,13 @@ def centralizer(ambient: FiniteAlgebra, state: DensityState,
     each by its multiplicity m_i.
 
     The report is kept on the state (``DensityState._reports``), so another
-    call with the same ambient object and tolerances returns it again.  Every
-    full matrix algebra of one dimension has the same report, so those share
-    one entry, keyed by ("full", dimension).
+    call with the same ambient object and ``degeneracy_tol`` returns it
+    again.  Every full matrix algebra of one dimension has the same report,
+    so those share one entry, keyed by ("full", dimension).
     """
     d, V = ambient.dim, ambient.unitary
     full = ambient.blocks == ((d, 1),)
-    key = (("full", d) if full else id(ambient), tol, degeneracy_tol)
+    key = (("full", d) if full else id(ambient), degeneracy_tol)
     report = state._reports.get(key)
     if report is not None:
         return report
@@ -137,7 +136,7 @@ def centralizer(ambient: FiniteAlgebra, state: DensityState,
     columns, vals, mult, opens = [], [], [], []
     for cols, q in zip(groups, stacks):
         g, n, m = cols.shape
-        w, u = _checked_eigh(q, max(tol, 1e-8))
+        w, u = _checked_eigh(q, 1e-8)
         if V is None:
             columns.append(u[0])
         else:   # a block of size 1 has eigenvector 1

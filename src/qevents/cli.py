@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import math
 import sys
-from typing import Callable
 
 import numpy as np
 
@@ -129,23 +127,30 @@ def _label(obj):
     raise ConfigError(f"labels must be strings or integers, got {obj!r}")
 
 
-def _restriction(obj, diagonal: Callable[[], FiniteAlgebra], ctx: str) -> FiniteAlgebra | None:
+def _restriction(obj, dim: int, built: dict, ctx: str) -> FiniteAlgebra | None:
+    """The algebra of one restriction entry, shared through ``built`` by equal
+    entries: keyed by kind and the canonical JSON of the entry's basis."""
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"{ctx}: a restriction must be an object with 'kind'")
     kind = obj["kind"]
     if kind == "full":
         return None
+    key = (kind, json.dumps(obj.get("basis"), sort_keys=True))
+    if key in built:
+        return built[key]
     if kind == "diagonal":
-        return diagonal()
-    if kind == "span":
+        built[key] = diagonal_algebra(dim)
+    elif kind == "span":
         basis = [_matrix(m, f"{ctx}.basis[{k}]") for k, m in enumerate(obj.get("basis", []))]
         if not basis:
             raise ConfigError(f"{ctx}: 'span' restriction needs a nonempty 'basis'")
         try:
-            return FiniteAlgebra.from_span(basis)
+            built[key] = FiniteAlgebra.from_span(basis)
         except (ValueError, InvariantViolation) as exc:
             raise ConfigError(f"{ctx}: basis does not span an algebra ({exc})") from None
-    raise ConfigError(f"{ctx}: unknown restriction kind {kind!r}")
+    else:
+        raise ConfigError(f"{ctx}: unknown restriction kind {kind!r}")
+    return built[key]
 
 
 def _build_frame(model: dict) -> tuple[HeisenbergFrame, DensityState]:
@@ -189,10 +194,10 @@ def _build_frame(model: dict) -> tuple[HeisenbergFrame, DensityState]:
         raw = model["restrictions"]
         if not isinstance(raw, list) or len(raw) != len(times):
             raise ConfigError(f"{ctx}.restrictions: needs one entry per time")
-        # one algebra for all "diagonal" entries: the frame skips checking it
-        # inside itself, and a state's centralizer report serves all its times
-        diagonal = functools.cache(lambda: diagonal_algebra(dim))
-        kwargs["restrictions"] = [_restriction(r, diagonal, f"{ctx}.restrictions[{k}]")
+        # equal entries share one algebra: the frame skips checking it inside
+        # itself, and a state's centralizer report serves all its times
+        built = {}
+        kwargs["restrictions"] = [_restriction(r, dim, built, f"{ctx}.restrictions[{k}]")
                                   for k, r in enumerate(raw)]
 
     try:

@@ -24,7 +24,7 @@ from .algebras import (FiniteAlgebra, SPAN_TOL, _inclusion_residual, contains,
 from .centralizers import CentralizerReport, _center_distance, _state_in_frame, centralizer
 from .errors import InadmissibleThresholdError, InvariantViolation
 from .operators import (DEFAULT_TOL, DensityState, PartitionOfUnity, _checked_norm,
-                        _unitarity_defect, as_operator)
+                        _expectations, _unitarity_defect, as_operator)
 from .seeding import _stream_uniforms, substream
 
 logger = logging.getLogger(__name__)
@@ -254,7 +254,11 @@ def _ambient(frame: HeisenbergFrame, k: int) -> FiniteAlgebra:
 
 @dataclass(frozen=True)
 class DetectionVerdict:
-    """Outcome of the event criterion at one time for one candidate partition."""
+    """Outcome of the event criterion at one time for one candidate partition.
+
+    ``weights`` are tr(rho P_j) in label order: ``gap`` is read from them, and
+    a trajectory that fires on the verdict draws its outcome from them.
+    """
 
     happened: bool
     time: float
@@ -263,6 +267,7 @@ class DetectionVerdict:
     partition: PartitionOfUnity
     gap: float
     admissible: bool
+    weights: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -298,20 +303,22 @@ def admissible_threshold(state: DensityState, partition: PartitionOfUnity,
         raise ValueError(f"safety factor must lie in (0, 1), got {safety!r}")
     if partition.size < 2:
         raise InadmissibleThresholdError("no admissible threshold: single-outcome partition")
-    gap = _weight_gap(state, partition)
+    gap = _weight_gap(_outcome_weights(state, partition))
     if gap <= tol:
         raise InadmissibleThresholdError(
             f"no admissible threshold: outcome weight gap {gap:.3e}")
     return safety * gap
 
 
-def _weight_gap(state: DensityState, partition: PartitionOfUnity) -> float:
-    """Smallest outcome-weight gap (0 for one outcome); ``detect_event``
+def _outcome_weights(state: DensityState, partition: PartitionOfUnity) -> tuple[float, ...]:
+    """tr(rho P_j) in label order, each checked real (``_expectations``, tol 1e-9)."""
+    return tuple(_expectations(state.matrix, partition.stack, 1e-9).tolist())
+
+
+def _weight_gap(weights: tuple[float, ...]) -> float:
+    """Smallest gap between outcome weights (0 for one outcome); ``detect_event``
     compares against safety * gap / N = ``admissible_threshold(...) / N``."""
-    w = [state.expect_real(P) for P in partition.projections]
-    if len(w) < 2:
-        return 0.0
-    return min(abs(a - b) for i, a in enumerate(w) for b in w[i + 1:])
+    return min((abs(a - b) for i, a in enumerate(weights) for b in weights[i + 1:]), default=0.0)
 
 
 def _detect(frame: HeisenbergFrame, k: int, state: DensityState,
@@ -325,7 +332,8 @@ def _detect(frame: HeisenbergFrame, k: int, state: DensityState,
         raise InvariantViolation(
             f"partition not inside the restriction algebra at time {time}: residual {r:.3e}")
     distance = _center_distance(report, R, partition.stack)
-    gap = _weight_gap(state, partition)
+    weights = _outcome_weights(state, partition)
+    gap = _weight_gap(weights)
     admissible = partition.size >= 2 and gap > tol
     if admissible:
         threshold = safety * gap / partition.size
@@ -334,7 +342,7 @@ def _detect(frame: HeisenbergFrame, k: int, state: DensityState,
         threshold = float("nan")
         happened = False
     return DetectionVerdict(happened, float(time), float(distance), threshold,
-                            partition, float(gap), admissible)
+                            partition, float(gap), admissible, weights)
 
 
 def detect_event(frame: HeisenbergFrame, state: DensityState, time,
@@ -401,15 +409,12 @@ def earliest_event(frame: HeisenbergFrame, state: DensityState,
 def born_probabilities(state: DensityState, partition: PartitionOfUnity,
                        tol: float = 1e-12) -> list[tuple[object, float]]:
     """Outcome weights of a partition in a state, checked to sum to one."""
-    out = []
-    total = 0.0
-    for label, P in zip(partition.labels, partition.projections):
-        v = state.expect(P)
+    values = _expectations(state.matrix, partition.stack).tolist()
+    for v in values:
         if abs(v.imag) > 1e-9 or v.real < -1e-9:
             raise InvariantViolation(f"outcome weight {v!r} is not a probability")
-        p = max(float(v.real), 0.0)
-        out.append((label, p))
-        total += p
+    out = [(label, max(v.real, 0.0)) for label, v in zip(partition.labels, values)]
+    total = sum(p for _, p in out)
     if abs(total - 1.0) > tol:
         raise InvariantViolation(f"outcome weights sum to {total!r}, not 1")
     return out
@@ -552,7 +557,8 @@ def _sample_paths(frame: HeisenbergFrame, initial: DensityState, samples: int,
     record entries as plain tuples and, with detection, its
     ``DensityState``.  At step k the event verdict (with detection: one
     centralizer per group, the minimal-distance firing candidate wins) and
-    the Born weights (one einsum per group) are computed per group; a group
+    the Born weights (the winning verdict's ``weights``, or one
+    ``_expectations`` call without detection) are computed per group; a group
     with no firing candidate carries over without drawing, keeping its
     ``DensityState`` and so the centralizer reports kept on it (the root's
     is ``initial`` itself; a child of a firing group gets a new one).  One
@@ -592,7 +598,8 @@ def _sample_paths(frame: HeisenbergFrame, initial: DensityState, samples: int,
             yield from _leaves(rho, members, gid, entries)
             continue
         t = frame.times[k]
-        rows, parts, heads, carried, shared = _step_verdicts(frame, k, rho, states, safety, tol)
+        rows, parts, heads, weights, carried, shared = _step_verdicts(frame, k, rho, states,
+                                                                      safety, tol)
         if not rows:    # no group fires: the chunk carries over as it is
             pending.append((k + 1, rho, members, gid, seen,
                             [e + (carried[g],) for g, e in enumerate(entries)], states))
@@ -605,12 +612,11 @@ def _sample_paths(frame: HeisenbergFrame, initial: DensityState, samples: int,
             row, row_of = row[drawing], row_of.tolist()
         else:
             row, drawing, row_of = gid, slice(None), range(len(rho))
-        weights = [np.einsum("ab,nba->n", rho[g], p.stack) for g, p in zip(rows, parts)]
         if shared is None:      # zero weights pad the rows to a common width
             width = max(p.size for p in parts)
-            padded = np.zeros((len(rows), width), dtype=complex)
+            padded = np.zeros((len(rows), width))
             for r, w in enumerate(weights):
-                padded[r, :w.size] = w
+                padded[r, :len(w)] = w
             weights = padded
         else:
             width = shared.size
@@ -698,18 +704,19 @@ def _step_verdicts(frame: HeisenbergFrame, k: int, rho: np.ndarray, states: list
 
     ``states`` holds each group's ``DensityState``, or None where the group
     has none yet; one is built for it here and stored in the list.  Returns
-    the firing groups, each one's winning partition and its (admissible,
-    distance, threshold), the entry of each group that carries over without
-    an event, and the partition all firing groups share (None if they
-    differ).  Without detection (``states`` None) every group fires with
-    the step's one candidate.
+    the firing groups, each one's winning partition, its (admissible,
+    distance, threshold) and its weights (the verdict's), the entry of each
+    group that carries over without an event, and the partition all firing
+    groups share (None if they differ).  Without detection (``states`` None)
+    every group fires with the step's one candidate, on complex weights.
     """
     if states is None:
         partition = frame.partitions[k][0]
+        weights = [_expectations(r, partition.stack) for r in rho]
         return (range(len(rho)), [partition] * len(rho), [(None, None, None)] * len(rho),
-                {}, partition)
+                weights, {}, partition)
     t = frame.times[k]
-    rows, parts, heads, carried = [], [], [], {}
+    rows, parts, heads, weights, carried = [], [], [], [], {}
     for g in range(len(rho)):
         state = states[g]
         if state is None:
@@ -727,8 +734,9 @@ def _step_verdicts(frame: HeisenbergFrame, k: int, rho: np.ndarray, states: list
         rows.append(g)
         parts.append(v.partition)
         heads.append((v.admissible, v.distance, v.threshold))
+        weights.append(v.weights)
     shared = parts[0] if parts and all(p is parts[0] for p in parts) else None
-    return rows, parts, heads, carried, shared
+    return rows, parts, heads, weights, carried, shared
 
 
 def _leaves(rho: np.ndarray, members: np.ndarray, gid: np.ndarray, entries: list):

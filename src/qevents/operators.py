@@ -325,6 +325,18 @@ def spectral_decompose(X: np.ndarray,
     return SpectralDecomposition._from_eigh(eigenvalues, vecs, np.flatnonzero(opens))
 
 
+def _expectations(rho: np.ndarray, stack: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """tr(rho A_n) for each A_n of an (n, d, d) stack in O(n d^2), the one spelling
+    of a state's values, the Born weights among them.  With ``tol``, their real
+    parts, each imaginary part checked within tol * max(1, |real part|)."""
+    v = np.einsum("ab,nba->n", rho, stack)
+    if tol is None:
+        return v
+    if (bad := np.abs(v.imag) > tol * np.maximum(1.0, np.abs(v.real))).any():
+        raise InvariantViolation(f"expected real value, got {complex(v[bad][0])!r}")
+    return v.real
+
+
 def _frozen(A: np.ndarray) -> np.ndarray:
     """A itself, made read-only; pass only an array nobody else holds."""
     A.flags.writeable = False
@@ -348,13 +360,13 @@ class DensityState:
     keeps its own flags.
 
     The centralizer reports computed for the state are cached in
-    ``_reports``, a dict keyed by (id(ambient), tol, degeneracy_tol) that
+    ``_reports``, a dict keyed by (id(ambient), degeneracy_tol) that
     only ``centralizers.centralizer`` reads and fills; a full matrix algebra
     is keyed by ("full", dim) in place of its id, as every one of a
     dimension has the same report.  Each report holds its ambient, so a
     keyed id cannot be reused while its entry lives; the dict lives and
-    dies with the state, one entry per ambient and tolerance pair the state
-    was asked about, all full matrix algebras counting as one ambient.
+    dies with the state, one entry per ambient and degeneracy tolerance the
+    state was asked about, all full matrix algebras counting as one ambient.
     """
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL, validate: bool = True):
@@ -395,13 +407,10 @@ class DensityState:
 
     def expect(self, A: np.ndarray) -> complex:
         """Value of the functional on A, tr(rho A)."""
-        return complex(np.trace(self.matrix @ np.asarray(A, dtype=complex)))
+        return complex(_expectations(self.matrix, np.asarray(A, dtype=complex)[None])[0])
 
     def expect_real(self, A: np.ndarray, tol: float = 1e-9) -> float:
-        v = self.expect(A)
-        if abs(v.imag) > tol * max(1.0, abs(v.real)):
-            raise InvariantViolation(f"expected real value, got {v!r}")
-        return float(v.real)
+        return float(_expectations(self.matrix, np.asarray(A, dtype=complex)[None], tol)[0])
 
     def spectral(self, degeneracy_tol: float = DEGENERACY_TOL) -> SpectralDecomposition:
         return spectral_decompose(self.matrix, degeneracy_tol=degeneracy_tol)

@@ -4,6 +4,7 @@ Everything is driven by explicit ``numpy`` Generators so failures
 reproduce; tests derive their generator from a frozen seed.
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -19,7 +20,7 @@ from qevents import (DEFAULT_TOL, DEGENERACY_TOL, RANK_RCOND, SPAN_TOL, BranchRe
                      ambient_representative, antihermitian_defect, centralizer, contains,
                      operator_norm, spectral_decompose, substream)
 from qevents.centralizers import _state_in_frame
-from qevents.events import _ambient, _detect, _resolve_policy, _sample_paths, _weight_gap
+from qevents.events import _ambient, _detect, _resolve_policy, _sample_paths
 from qevents.histories import enumerate_protocols, lsw_probability
 from qevents.mesoscopic import _lgamma, _log_posterior_rows, _logsumexp, _xlogy
 
@@ -347,6 +348,8 @@ def reference_detect(state, partition, time, restriction, report,
     ``reference_expect_onto_center`` over the dense atoms
     ``report.central_projections`` (of a report, or of
     ``reference_centralizer``), and the distance is ``operator_norm(CE(P) - P)``.
+    Each weight tr(rho P) is one contraction of rho with one projection, and
+    the gap the smallest difference over pairs.
     """
     for P in partition.projections:
         ok, r = contains(restriction, P, SPAN_TOL)
@@ -356,11 +359,17 @@ def reference_detect(state, partition, time, restriction, report,
     atoms = report.central_projections
     distance = max(operator_norm(reference_expect_onto_center(state, P, atoms)[0] - P)
                    for P in partition.projections)
-    gap = _weight_gap(state, partition)
+    weights = []
+    for P in partition.projections:
+        w = complex(np.einsum("ab,ba->", state.matrix, P))
+        if abs(w.imag) > 1e-9 * max(1.0, abs(w.real)):
+            raise InvariantViolation(f"expected real value, got {w!r}")
+        weights.append(w.real)
+    gap = min((abs(a - b) for a, b in itertools.combinations(weights, 2)), default=0.0)
     admissible = partition.size >= 2 and gap > tol
     threshold = safety * gap / partition.size if admissible else float("nan")
     return DetectionVerdict(admissible and distance <= threshold, float(time), float(distance),
-                            threshold, partition, float(gap), admissible)
+                            threshold, partition, float(gap), admissible, tuple(weights))
 
 
 class ReferencePath(NamedTuple):

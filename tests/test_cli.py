@@ -638,6 +638,26 @@ class TestRestrictionsConfig:
         assert first.blocks == ((1, 1),) * 3
         assert all(R is first for R in frame.restrictions[1:])
 
+    def test_equal_span_entries_share_one_algebra(self, tmp_path, capsys):
+        units = [[[int(a == b == i) for b in range(3)] for a in range(3)] for i in range(3)]
+        payload = json.loads(json.dumps(TestDetectGolden.GATED))
+        payload["model"]["restrictions"] = ([{"kind": "full"}]
+                                            + [{"kind": "span", "basis": units}] * 3)
+        frame, _ = cli._build_frame(payload["model"])
+        first = frame.restrictions[1]
+        assert first.blocks == ((1, 1),) * 3
+        assert all(R is first for R in frame.restrictions[1:])
+        assert cli.main(["detect", "--config", write_config(tmp_path, payload)]) == 0
+        shared = capsys.readouterr().out
+        # the same basis spelled three ways builds three algebras, with the same output
+        spellings = [units, [[[float(x) for x in row] for row in B] for B in units],
+                     [{"re": B} for B in units]]
+        payload["model"]["restrictions"][1:] = [{"kind": "span", "basis": b} for b in spellings]
+        frame, _ = cli._build_frame(payload["model"])
+        assert len({id(R) for R in frame.restrictions[1:]}) == 3
+        assert cli.main(["detect", "--config", write_config(tmp_path, payload)]) == 0
+        assert capsys.readouterr().out == shared
+
 
 class TestPublicEntryPoints:
     def test_cli_imports_no_private_name(self):

@@ -15,7 +15,7 @@ from qevents import (DensityState, FiniteAlgebra, HeisenbergFrame,
 import qevents.centralizers
 import qevents.events
 from qevents.events import _sample_paths
-from qevents.operators import DEFAULT_TOL, DEGENERACY_TOL
+from qevents.operators import DEGENERACY_TOL
 
 from _helpers import (in_tensor_block, outcome, random_density, random_partition,
                       random_unitary, reference_centralizer, reference_detect,
@@ -797,6 +797,72 @@ class TestStateInFrameOnce:
         assert all(report is formed[0] for report in distances)
 
 
+class TestOneWeightKernel:
+    """The criterion's outcome weights are the weights the outcome is drawn from."""
+
+    def test_tr_rho_p_has_one_spelling(self):
+        src = Path(qevents.events.__file__).parent
+        spelled = [path.name for path in sorted(src.glob("*.py"))
+                   for _ in range(path.read_text().count('"ab,nba->n"'))]
+        assert spelled == ["operators.py"]
+
+    def test_a_firing_step_computes_the_weights_once(self, monkeypatch):
+        calls, real = [], qevents.events._expectations
+
+        def spy(rho, stack, *tol):
+            calls.append(stack.shape[0])
+            return real(rho, stack, *tol)
+
+        monkeypatch.setattr(qevents.events, "_expectations", spy)
+        # a diagonal state and partition fire at every time, the pure states too
+        frame = HeisenbergFrame.build((1.0, 2.0, 3.0, 4.0), PART)
+        result = run_trajectory(frame, RHO_37, rng_seed=3)
+        assert all(b.fired for b in result.branch_log)
+        assert calls == [2] * 4
+
+    def test_complex_weights_are_refused(self):
+        skew = DensityState(np.diag([0.3 + 1e-6j, 0.7 - 1e-6j]), validate=False)
+        with pytest.raises(InvariantViolation, match="expected real value"):
+            admissible_threshold(skew, PART)
+        with pytest.raises(InvariantViolation, match="expected real value"):
+            skew.expect_real(E11)
+        with pytest.raises(InvariantViolation, match="not a probability"):
+            born_probabilities(skew, PART)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(dim=st.integers(2, 4), outcomes=st.integers(2, 3), steps=st.integers(1, 3),
+           access=st.sampled_from(["full", "diagonal"]), two_candidates=st.booleans(),
+           state_kind=st.sampled_from(["random", "aligned"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_verdict_weights_are_the_born_weights_drawn_from(self, dim, outcomes, steps,
+                                                             access, two_candidates,
+                                                             state_kind, seed):
+        frame, state = _random_frame(rng(seed), dim, min(outcomes, dim), steps, access,
+                                     1 + two_candidates, state_kind)
+        seen, real = [], qevents.events._verdicts
+
+        def spy(frame, k, state, *args):
+            verdicts = real(frame, k, state, *args)
+            seen.append((state, verdicts))
+            return verdicts
+
+        with mock.patch.object(qevents.events, "_verdicts", spy):
+            result = run_trajectory(frame, state, rng_seed=seed % 1000)
+        assert len(seen) == steps
+        for (state_k, verdicts), branch in zip(seen, result.branch_log):
+            for v in verdicts:
+                assert v.weights == tuple(qevents.events._expectations(
+                    state_k.matrix, v.partition.stack).real.tolist())
+                if min(v.weights) >= 0.0:
+                    born = [p for _, p in born_probabilities(state_k, v.partition)]
+                    assert list(v.weights) == born
+            if branch.fired:
+                v = min((v for v in verdicts if v.happened), key=lambda v: v.distance)
+                w = [max(x, 0.0) for x in v.weights]
+                j = v.partition.labels.index(branch.outcome)
+                assert branch.probability == w[j] / sum(w)
+
+
 def _spy_eigh(monkeypatch):
     """Record the stack each checked eigh inside ``centralizer`` runs on."""
     calls, real = [], qevents.centralizers._checked_eigh
@@ -895,12 +961,12 @@ class TestReportOnTheState:
                                                                seed):
         # "factor" is M_n (x) 1_m, the full algebra when m = 1; "scalars" adds
         # scalar blocks.  Each key clusters "merged" and "near" states apart.
-        keys = [(DEFAULT_TOL, DEGENERACY_TOL), (1e-10, 1e-10), (DEFAULT_TOL, 1e-6)]
+        keys = [DEGENERACY_TOL, 1e-10, 1e-6]
         gen = rng(seed)
         ambient, part, state = _block_instance(gen, kind, *shape, scalars, outcomes, state_kind)
         frame = HeisenbergFrame((1.0, 2.0), None, ((part,), (part,)), (ambient, ambient))
         for j in order:
-            centralizer(ambient, state, *keys[j])
+            centralizer(ambient, state, keys[j])
         first = earliest_event(frame, state).verdicts
         again = earliest_event(frame, state).verdicts
         fresh = earliest_event(frame, DensityState(state.matrix.copy())).verdicts
@@ -908,11 +974,11 @@ class TestReportOnTheState:
             for v, w, ref in zip(row, row_again, row_fresh):
                 _same_verdict_exactly(v, ref)
                 _same_verdict_exactly(w, ref)
-        reports = [centralizer(ambient, state, *key) for key in keys]
+        reports = [centralizer(ambient, state, key) for key in keys]
         assert len({id(r) for r in reports}) == len(keys)
         for key, report in zip(keys, reports):
-            assert centralizer(ambient, state, *key) is report
-            ref = centralizer(ambient, DensityState(state.matrix.copy()), *key)
+            assert centralizer(ambient, state, key) is report
+            ref = centralizer(ambient, DensityState(state.matrix.copy()), key)
             for field in ("frame", "starts", "atoms", "multiplicities", "clusters",
                           "eigenvalues"):
                 assert np.array_equal(getattr(report, field), getattr(ref, field))
