@@ -49,7 +49,7 @@ for row in rep.rows:
     print(f"  n={row.n:4d}: cross-band mass {row.mass:.3e}, "
           f"empirical rate {row.empirical_rate:.4f} nats "
           f"(band divergence {row.band_kl_rate:.4f})")
-print(f"  certified envelope mass <= C exp(-n sigma): {rep.certified}")
+print(f"  Chernoff bound mass <= exp(-n band divergence) holds: {rep.certified}")
 
 print("\n== Detection time ==")
 dt = detection_time(model)

@@ -104,23 +104,22 @@ def ambient_representative(ambient: FiniteAlgebra, state: DensityState) -> np.nd
     return (Q + adjoint(Q)) / 2.0
 
 
-def centralizer(ambient: FiniteAlgebra, state: DensityState,
-                degeneracy_tol: float = DEGENERACY_TOL) -> CentralizerReport:
+def centralizer(ambient: FiniteAlgebra, state: DensityState) -> CentralizerReport:
     """Centralizer report of a state on an ambient algebra.
 
     The blocks q_i of Q are read off V* rho V as ``FiniteAlgebra.project``
     averages them (rho itself for the full matrix algebra).  Eigenvalues
-    within ``degeneracy_tol`` (chained) share a cluster, whose mean weighs
+    within ``DEGENERACY_TOL`` (chained) share a cluster, whose mean weighs
     each by its multiplicity m_i.
 
-    The report is kept on the state (``DensityState._reports``), so another
-    call with the same ambient object and ``degeneracy_tol`` returns it
-    again.  Every full matrix algebra of one dimension has the same report,
-    so those share one entry, keyed by ("full", dimension).
+    The report is kept on the state (``DensityState._reports``), one per
+    ambient object, so another call with the same ambient returns it again.
+    Every full matrix algebra of one dimension has the same report, so
+    those share one entry, keyed by ("full", dimension).
     """
     d, V = ambient.dim, ambient.unitary
     full = ambient.blocks == ((d, 1),)
-    key = (("full", d) if full else id(ambient), degeneracy_tol)
+    key = ("full", d) if full else id(ambient)
     report = state._reports.get(key)
     if report is not None:
         return report
@@ -150,7 +149,7 @@ def centralizer(ambient: FiniteAlgebra, state: DensityState,
     frame, vals, mult, opens = (x[0] if len(x) == 1 else np.concatenate(x, axis=x[0].ndim - 1)
                                 for x in (columns, vals, mult, opens))
     order = np.argsort(vals, kind="stable")
-    new_cluster, eigenvalues = _chained_clusters(vals[order], mult[order], degeneracy_tol)
+    new_cluster, eigenvalues = _chained_clusters(vals[order], mult[order], DEGENERACY_TOL)
     cluster = np.empty(len(vals), dtype=int)
     cluster[order] = np.cumsum(new_cluster) - 1
     opens[1:] |= cluster[1:] != cluster[:-1]
@@ -167,13 +166,12 @@ def _state_in_frame(report: CentralizerReport, state: DensityState) -> np.ndarra
 
 
 def _center_coefficients(report: CentralizerReport, R: np.ndarray,
-                         stack: np.ndarray, tol: float = DEFAULT_TOL,
-                         parts=(np.real, np.imag)):
+                         stack: np.ndarray, parts=(np.real, np.imag)):
     """Coefficients c of CE(P_j) = sum_a c_ja z_a for the (N, d, d) ``stack`` of P_j.
 
     In the frame F the atoms are diagonal blocks, so c_a = tr(R_a B_a) / w_a
     for R = F* rho F (``_state_in_frame``), B = F* P F and w_a = tr R_a =
-    phi(z_a), or tr B_a / tr 1_a where w_a <= ``tol``.  Each of the ``parts``
+    phi(z_a), or tr B_a / tr 1_a where w_a <= ``DEFAULT_TOL``.  Each of the ``parts``
     (real, imaginary) is summed and divided on its own; the others stay 0.
     Returns c, B and w.
     """
@@ -188,28 +186,28 @@ def _center_coefficients(report: CentralizerReport, R: np.ndarray,
     c = np.zeros((B.shape[0], len(sizes)), dtype=complex)
     for part in parts:
         np.divide(np.add.reduceat(part(diagonal), starts, axis=1), sizes, out=part(c))
-        np.divide(np.add.reduceat(part(cross), starts, axis=1), w, out=part(c), where=w > tol)
+        np.divide(np.add.reduceat(part(cross), starts, axis=1), w, out=part(c),
+                  where=w > DEFAULT_TOL)
     return c, B, w
 
 
 def _center_distance(report: CentralizerReport, R: np.ndarray,
-                     stack: np.ndarray, tol: float = DEFAULT_TOL) -> float:
+                     stack: np.ndarray) -> float:
     """max_j ||CE(P_j) - P_j||, by one batched eigvalsh of F* (CE(P) - P) F = diag(c) - B,
     for R = ``_state_in_frame(report, state)``."""
-    c, B, _ = _center_coefficients(report, R, stack, tol, parts=(np.real,))
+    c, B, _ = _center_coefficients(report, R, stack, parts=(np.real,))
     H, diagonal = -B, np.arange(B.shape[-1])
     H[:, diagonal, diagonal] += c.real[:, report.atoms]
     return float(np.abs(np.linalg.eigvalsh(H)).max())
 
 
-def _operand_and_report(ambient, state, A, tol, report, check_ambient):
-    """A as a matrix, checked to lie in the ambient within ``tol``, and the state's report."""
+def _in_ambient(ambient: FiniteAlgebra, A) -> np.ndarray:
+    """A as a matrix, checked to lie in the ambient within ``SPAN_TOL``."""
     A = as_operator(A, ambient.dim)
-    if check_ambient:
-        ok, r = contains(ambient, A, tol)
-        if not ok:
-            raise InvariantViolation(f"operator outside the ambient algebra: residual {r:.3e}")
-    return A, centralizer(ambient, state) if report is None else report
+    ok, r = contains(ambient, A, SPAN_TOL)
+    if not ok:
+        raise InvariantViolation(f"operator outside the ambient algebra: residual {r:.3e}")
+    return A
 
 
 class PinchInfo(NamedTuple):
@@ -217,10 +215,7 @@ class PinchInfo(NamedTuple):
 
 
 def expect_onto_centralizer(ambient: FiniteAlgebra, state: DensityState,
-                            A: np.ndarray, tol: float = SPAN_TOL,
-                            report: CentralizerReport | None = None,
-                            check_ambient: bool = True,
-                            return_info: bool = False):
+                            A: np.ndarray, return_info: bool = False):
     """Pinching conditional expectation onto the centralizer of the state.
 
     Sums E_l A E_l over the clustered eigenprojections E_l of the state's
@@ -229,7 +224,8 @@ def expect_onto_centralizer(ambient: FiniteAlgebra, state: DensityState,
     The result lies in the ambient span; it is re-projected onto the span if
     rounding pushed it out, with the residual reported via ``return_info``.
     """
-    A, report = _operand_and_report(ambient, state, A, tol, report, check_ambient)
+    A = _in_ambient(ambient, A)
+    report = centralizer(ambient, state)
     F, Fh = report.frame, adjoint(report.frame)
     cluster = report.clusters[report.atoms]
     out = F @ np.where(cluster[:, None] == cluster[None, :], Fh @ A @ F, 0.0) @ Fh
@@ -248,23 +244,22 @@ class CenterExpectationInfo(NamedTuple):
 
 
 def expect_onto_center(ambient: FiniteAlgebra, state: DensityState,
-                       A: np.ndarray, tol: float = DEFAULT_TOL,
-                       report: CentralizerReport | None = None,
-                       check_ambient: bool = True,
-                       return_info: bool = False):
+                       A: np.ndarray, return_info: bool = False):
     """Conditional expectation onto the center of the centralizer.
 
     Writes the output as sum_j c_j z_j over the minimal central projections,
     with c_j the state average of z_j A z_j on the block.  Blocks the state
-    gives no weight to (phi(z_j) <= tol) fall back to the normalized trace;
-    which atoms that happened on is reported via ``return_info``.
+    gives no weight to (phi(z_j) <= ``DEFAULT_TOL``) fall back to the
+    normalized trace; which atoms that happened on is reported via
+    ``return_info``.
     """
-    A, report = _operand_and_report(ambient, state, A, SPAN_TOL, report, check_ambient)
-    c, _, w = _center_coefficients(report, _state_in_frame(report, state), A[None], tol)
+    A = _in_ambient(ambient, A)
+    report = centralizer(ambient, state)
+    c, _, w = _center_coefficients(report, _state_in_frame(report, state), A[None])
     out = (report.frame * c[0, report.atoms]) @ adjoint(report.frame)
     if return_info:
         return out, CenterExpectationInfo(tuple(c[0].tolist()), tuple(w.tolist()),
-                                          tuple(np.flatnonzero(w <= tol).tolist()))
+                                          tuple(np.flatnonzero(w <= DEFAULT_TOL).tolist()))
     return out
 
 
@@ -276,8 +271,7 @@ class IncoherenceDefect(NamedTuple):
 
 def incoherence_defect(ambient: FiniteAlgebra, state: DensityState,
                        partition: PartitionOfUnity, A: np.ndarray,
-                       use_center: bool = True,
-                       tol: float = DEFAULT_TOL) -> IncoherenceDefect:
+                       use_center: bool = True) -> IncoherenceDefect:
     """Defect of evaluating the state incoherently along a partition.
 
     Returns (lhs, bound, delta_prime) with
@@ -288,23 +282,15 @@ def incoherence_defect(ambient: FiniteAlgebra, state: DensityState,
     The inequality lhs <= bound holds identically; it is asserted here up to
     an absolute rounding allowance and violations raise.
     """
-    A = as_operator(A, ambient.dim)
-    report = centralizer(ambient, state)
-    ok, r = contains(ambient, A, SPAN_TOL)
-    if not ok:
-        raise InvariantViolation(f"operator outside the ambient algebra: residual {r:.3e}")
-    phi_A = state.expect(A)
+    A = _in_ambient(ambient, A)
     expect = expect_onto_center if use_center else expect_onto_centralizer
     pinched = 0.0 + 0.0j
     delta_prime = 0.0
     for P in partition.projections:
-        ok, r = contains(ambient, P, SPAN_TOL)
-        if not ok:
-            raise InvariantViolation(f"partition leaves the ambient algebra: residual {r:.3e}")
+        # the expectation checks that P lies in the ambient
+        delta_prime = max(delta_prime, operator_norm(expect(ambient, state, P) - P))
         pinched += state.expect(P @ A @ P)
-        ce = expect(ambient, state, P, report=report, check_ambient=False)
-        delta_prime = max(delta_prime, operator_norm(ce - P))
-    lhs = abs(phi_A - pinched)
+    lhs = abs(state.expect(A) - pinched)
     n_outcomes = partition.size
     bound = 4.0 * n_outcomes * delta_prime * operator_norm(A)
     slack = 1e-12 * n_outcomes * max(1.0, operator_norm(A))

@@ -102,6 +102,8 @@ def _partition(obj, dim: int, ctx: str) -> PartitionOfUnity:
         labels = tuple(_label(l) for l in obj["labels"])
         mats = tuple(_matrix(m, f"{ctx}.projections[{k}]")
                      for k, m in enumerate(obj["projections"]))
+        if any(M.shape[0] != dim for M in mats):
+            raise ConfigError(f"{ctx}: projections must be {dim} x {dim}, as the initial state")
         return PartitionOfUnity(labels, mats)
     raise ConfigError(f"{ctx}: partition needs 'diagonal_labels' or 'labels'+'projections'")
 
@@ -201,7 +203,7 @@ def _build_frame(model: dict) -> tuple[HeisenbergFrame, DensityState]:
                                   for k, r in enumerate(raw)]
 
     try:
-        frame = HeisenbergFrame.build(times, partitions, dim=dim, **kwargs)
+        frame = HeisenbergFrame.build(times, partitions, **kwargs)
     except (ValueError, InvariantViolation) as exc:
         raise ConfigError(f"{ctx}: cannot assemble frame ({exc})") from None
     return frame, initial

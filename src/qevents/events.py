@@ -23,8 +23,8 @@ from .algebras import (FiniteAlgebra, SPAN_TOL, _inclusion_residual, contains,
                        full_matrix_algebra)
 from .centralizers import CentralizerReport, _center_distance, _state_in_frame, centralizer
 from .errors import InadmissibleThresholdError, InvariantViolation
-from .operators import (DEFAULT_TOL, DensityState, PartitionOfUnity, _checked_norm,
-                        _expectations, _unitarity_defect, as_operator)
+from .operators import (DEFAULT_TOL, DensityState, PartitionOfUnity, _REALNESS_TOL,
+                        _checked_norm, _expectations, _unitarity_defect, as_operator)
 from .seeding import _stream_uniforms, substream
 
 logger = logging.getLogger(__name__)
@@ -156,7 +156,7 @@ class HeisenbergFrame:
 
     @classmethod
     def build(cls, times, partitions, propagators=None, step_propagator=None,
-              restrictions=None, dim: int | None = None) -> "HeisenbergFrame":
+              restrictions=None) -> "HeisenbergFrame":
         """Assemble a frame, transporting base partitions when asked.
 
         ``partitions`` is either a per-time sequence of candidates (taken as
@@ -173,10 +173,9 @@ class HeisenbergFrame:
         probe = partitions
         while isinstance(probe, (list, tuple)) and probe:
             probe = probe[0]
-        probe_dim = probe.dim if isinstance(probe, PartitionOfUnity) else None
-        d = probe_dim if dim is None else dim
-        if d is None:
+        if not isinstance(probe, PartitionOfUnity):
             raise ValueError("cannot infer frame dimension")
+        d = probe.dim
         if step_propagator is not None:
             S = as_operator(step_propagator, d)
             props = []
@@ -187,12 +186,8 @@ class HeisenbergFrame:
             props = tuple(props)
         elif propagators is not None:
             props = tuple(as_operator(U, d) for U in propagators)
-        elif probe_dim == d:
-            props = None
         else:
-            # an explicit ``dim`` the partitions contradict: dense identities
-            # of that dimension let the frame report the mismatch
-            props = tuple(_identity(d) for _ in range(n))
+            props = None
 
         base_mode = (isinstance(partitions, Sequence)
                      and all(isinstance(p, PartitionOfUnity) for p in partitions)
@@ -293,26 +288,27 @@ class BranchRecord:
 
 
 def admissible_threshold(state: DensityState, partition: PartitionOfUnity,
-                         safety: float = 0.5, tol: float = DEFAULT_TOL) -> float:
+                         safety: float = 0.5) -> float:
     """Safety times the smallest outcome-weight gap (``_weight_gap``); ``detect_event``
     compares its distance against ``admissible_threshold(...) / N`` for N outcomes.
 
-    Degenerate weights (or a single outcome) admit no threshold and raise.
+    Degenerate weights (gap at most ``DEFAULT_TOL``) or a single outcome
+    admit no threshold and raise.
     """
     if not 0.0 < safety < 1.0:
         raise ValueError(f"safety factor must lie in (0, 1), got {safety!r}")
     if partition.size < 2:
         raise InadmissibleThresholdError("no admissible threshold: single-outcome partition")
     gap = _weight_gap(_outcome_weights(state, partition))
-    if gap <= tol:
+    if gap <= DEFAULT_TOL:
         raise InadmissibleThresholdError(
             f"no admissible threshold: outcome weight gap {gap:.3e}")
     return safety * gap
 
 
 def _outcome_weights(state: DensityState, partition: PartitionOfUnity) -> tuple[float, ...]:
-    """tr(rho P_j) in label order, each checked real (``_expectations``, tol 1e-9)."""
-    return tuple(_expectations(state.matrix, partition.stack, 1e-9).tolist())
+    """tr(rho P_j) in label order, each checked real (``_expectations``)."""
+    return tuple(_expectations(state.matrix, partition.stack, _REALNESS_TOL).tolist())
 
 
 def _weight_gap(weights: tuple[float, ...]) -> float:
@@ -323,7 +319,7 @@ def _weight_gap(weights: tuple[float, ...]) -> float:
 
 def _detect(frame: HeisenbergFrame, k: int, state: DensityState,
             partition: PartitionOfUnity, report: CentralizerReport, R: np.ndarray,
-            safety: float, tol: float) -> DetectionVerdict:
+            safety: float) -> DetectionVerdict:
     """The event criterion for one candidate, on the state's report and
     R = ``_state_in_frame(report, state)``."""
     time = frame.times[k]
@@ -334,7 +330,7 @@ def _detect(frame: HeisenbergFrame, k: int, state: DensityState,
     distance = _center_distance(report, R, partition.stack)
     weights = _outcome_weights(state, partition)
     gap = _weight_gap(weights)
-    admissible = partition.size >= 2 and gap > tol
+    admissible = partition.size >= 2 and gap > DEFAULT_TOL
     if admissible:
         threshold = safety * gap / partition.size
         happened = distance <= threshold
@@ -346,8 +342,7 @@ def _detect(frame: HeisenbergFrame, k: int, state: DensityState,
 
 
 def detect_event(frame: HeisenbergFrame, state: DensityState, time,
-                 partition: PartitionOfUnity, safety: float = 0.5,
-                 tol: float = DEFAULT_TOL) -> DetectionVerdict:
+                 partition: PartitionOfUnity, safety: float = 0.5) -> DetectionVerdict:
     """Apply the event criterion to one partition at one frame time.
 
     The distance is the worst deviation of the partition's projections from
@@ -357,16 +352,16 @@ def detect_event(frame: HeisenbergFrame, state: DensityState, time,
     """
     if not 0.0 < safety < 1.0:
         raise ValueError(f"safety factor must lie in (0, 1), got {safety!r}")
-    return _verdicts(frame, frame.index_of(time), state, (partition,), safety, tol)[0]
+    return _verdicts(frame, frame.index_of(time), state, (partition,), safety)[0]
 
 
 def _verdicts(frame: HeisenbergFrame, k: int, state: DensityState, candidates,
-              safety: float, tol: float) -> list[DetectionVerdict]:
+              safety: float) -> list[DetectionVerdict]:
     """``_detect`` for each candidate at frame time k, on one centralizer report
     and one R = F* rho F."""
     report = centralizer(_ambient(frame, k), state)
     R = _state_in_frame(report, state)
-    return [_detect(frame, k, state, p, report, R, safety, tol) for p in candidates]
+    return [_detect(frame, k, state, p, report, R, safety) for p in candidates]
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,7 +373,7 @@ class EarliestEventReport:
 
 
 def earliest_event(frame: HeisenbergFrame, state: DensityState,
-                   safety: float = 0.5, tol: float = DEFAULT_TOL) -> EarliestEventReport:
+                   safety: float = 0.5) -> EarliestEventReport:
     """Scan all frame times for the first detection.
 
     t_min is the first time any candidate fires.  Within the maximal
@@ -386,7 +381,7 @@ def earliest_event(frame: HeisenbergFrame, state: DensityState,
     (smallest-distance) detection.  If nothing fires the report says so and
     still carries every verdict for audit.
     """
-    verdicts = tuple(tuple(_verdicts(frame, k, state, frame.partitions[k], safety, tol))
+    verdicts = tuple(tuple(_verdicts(frame, k, state, frame.partitions[k], safety))
                      for k in range(len(frame.times)))
 
     fired = [any(v.happened for v in row) for row in verdicts]
@@ -406,26 +401,25 @@ def earliest_event(frame: HeisenbergFrame, state: DensityState,
     return EarliestEventReport(True, frame.times[k_min], best_time, verdicts)
 
 
-def born_probabilities(state: DensityState, partition: PartitionOfUnity,
-                       tol: float = 1e-12) -> list[tuple[object, float]]:
-    """Outcome weights of a partition in a state, checked to sum to one."""
+def born_probabilities(state: DensityState,
+                       partition: PartitionOfUnity) -> list[tuple[object, float]]:
+    """Outcome weights of a partition in a state, checked to sum to one within 1e-12."""
     values = _expectations(state.matrix, partition.stack).tolist()
     for v in values:
         if abs(v.imag) > 1e-9 or v.real < -1e-9:
             raise InvariantViolation(f"outcome weight {v!r} is not a probability")
     out = [(label, max(v.real, 0.0)) for label, v in zip(partition.labels, values)]
     total = sum(p for _, p in out)
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > 1e-12:
         raise InvariantViolation(f"outcome weights sum to {total!r}, not 1")
     return out
 
 
-def collapse(state: DensityState, projection: np.ndarray,
-             probability: float | None = None, tol: float = DEFAULT_TOL) -> DensityState:
+def collapse(state: DensityState, projection: np.ndarray) -> DensityState:
     """Project the state on a recorded outcome and renormalize."""
     P = as_operator(projection, state.dim)
-    p = state.expect_real(P) if probability is None else float(probability)
-    if p <= tol:
+    p = state.expect_real(P)
+    if p <= DEFAULT_TOL:
         raise ValueError(f"zero-probability branch: weight {p!r}")
     return DensityState(P @ state.matrix @ P / p)
 
@@ -458,8 +452,7 @@ def _resolve_policy(record_policy) -> Callable[[float], bool]:
 def run_trajectory(frame: HeisenbergFrame, initial: DensityState,
                    safety: float = 0.5, record_policy="always",
                    rng_seed: int | np.random.Generator = 0,
-                   require_detection: bool = True,
-                   tol: float = DEFAULT_TOL) -> TrajectoryResult:
+                   require_detection: bool = True) -> TrajectoryResult:
     """One stochastic trajectory through the frame.
 
     At each time the event criterion is evaluated for every candidate (the
@@ -478,14 +471,13 @@ def run_trajectory(frame: HeisenbergFrame, initial: DensityState,
     """
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else substream(int(rng_seed))
     (path,) = _sample_paths(frame, initial, 1, lambda members, j: rng.random(members.size),
-                            safety, record_policy, require_detection, tol)
+                            safety, record_policy, require_detection)
     return TrajectoryResult(path.history, DensityState(path.state), path.branch_log)
 
 
 def sample_trajectories(frame: HeisenbergFrame, initial: DensityState, samples: int,
                         seed: int = 0, safety: float = 0.5, record_policy="always",
-                        require_detection: bool = True,
-                        tol: float = DEFAULT_TOL) -> Iterator[SampledPath]:
+                        require_detection: bool = True) -> Iterator[SampledPath]:
     """``samples`` trajectories through the frame, one ``SampledPath`` per distinct
     outcome path.
 
@@ -501,7 +493,7 @@ def sample_trajectories(frame: HeisenbergFrame, initial: DensityState, samples: 
         raise ValueError(f"samples must be at least 1, got {samples!r}")
     block = _stream_uniforms(seed, samples, len(frame.times))
     return _block_paths(frame, initial, block, safety=safety, record_policy=record_policy,
-                        require_detection=require_detection, tol=tol)
+                        require_detection=require_detection)
 
 
 def _block_paths(frame: HeisenbergFrame, initial: DensityState, block: np.ndarray,
@@ -546,7 +538,7 @@ class SampledPath:
 def _sample_paths(frame: HeisenbergFrame, initial: DensityState, samples: int,
                   draw: Callable[[np.ndarray, np.ndarray], np.ndarray],
                   safety: float = 0.5, record_policy="always",
-                  require_detection: bool = True, tol: float = DEFAULT_TOL,
+                  require_detection: bool = True,
                   steps: int | None = None) -> Iterator[SampledPath]:
     """Sample ``samples`` trajectories over the first ``steps`` frame times at once.
 
@@ -599,7 +591,7 @@ def _sample_paths(frame: HeisenbergFrame, initial: DensityState, samples: int,
             continue
         t = frame.times[k]
         rows, parts, heads, weights, carried, shared = _step_verdicts(frame, k, rho, states,
-                                                                      safety, tol)
+                                                                      safety)
         if not rows:    # no group fires: the chunk carries over as it is
             pending.append((k + 1, rho, members, gid, seen,
                             [e + (carried[g],) for g, e in enumerate(entries)], states))
@@ -699,7 +691,7 @@ def _sample_paths(frame: HeisenbergFrame, initial: DensityState, samples: int,
 
 
 def _step_verdicts(frame: HeisenbergFrame, k: int, rho: np.ndarray, states: list | None,
-                   safety: float, tol: float):
+                   safety: float):
     """The event verdicts at step k for each group of the (G, d, d) ``rho``.
 
     ``states`` holds each group's ``DensityState``, or None where the group
@@ -721,7 +713,7 @@ def _step_verdicts(frame: HeisenbergFrame, k: int, rho: np.ndarray, states: list
         state = states[g]
         if state is None:
             state = states[g] = DensityState(rho[g], validate=False)
-        verdicts = _verdicts(frame, k, state, frame.partitions[k], safety, tol)
+        verdicts = _verdicts(frame, k, state, frame.partitions[k], safety)
         firing = sorted((v for v in verdicts if v.happened), key=lambda v: v.distance)
         if not firing:
             carried[g] = (t, False, any(v.admissible for v in verdicts),

@@ -199,12 +199,12 @@ class ConsistencyReport:
 
 
 def consistency_check(frame: HeisenbergFrame, initial: DensityState,
-                      steps: int, tol: float = 1e-12) -> ConsistencyReport:
+                      steps: int) -> ConsistencyReport:
     """Verify prefix-marginal consistency and total normalization.
 
     For every strict prefix, the measures of its one-step extensions must
     sum back to the measure of the prefix; the full-length measures must sum
-    to one.  Residuals beyond ``tol`` raise.
+    to one.  Residuals beyond 1e-12 raise.
     """
     leaves = 0
     total = 0.0
@@ -216,7 +216,7 @@ def consistency_check(frame: HeisenbergFrame, initial: DensityState,
 
     max_marginal = _walk_outcome_tree(frame, initial, steps, add)
     norm_residual = abs(total - 1.0)
-    if max_marginal > tol or norm_residual > tol:
+    if max_marginal > 1e-12 or norm_residual > 1e-12:
         raise InvariantViolation(
             f"history measure inconsistent: marginal residual {max_marginal:.3e}, "
             f"normalization residual {norm_residual:.3e}")

@@ -714,7 +714,9 @@ class SanovReport:
     ``band_kl_rate`` the divergence minimized over the band (the tight
     decay constant), and ``sigma_rate`` the full divergence between the two
     hypotheses.  ``prefactor`` is the smallest C with
-    mass <= C * exp(-n * sigma_rate) across all tabulated n.
+    mass <= C * exp(-n * sigma_rate) across all tabulated n, a descriptive
+    number.  ``certified`` is the Chernoff bound: every row has
+    log_mass <= -n * band_kl_rate (within 1e-9 nats).
     """
 
     nu1: int
@@ -767,7 +769,7 @@ def sanov_check(model: DeFinettiModel, nu1: int, nu2: int,
         prefactor = math.exp(log_c)
     except OverflowError:       # log_c > 709.78: C is past the largest float
         prefactor = math.inf
-    certified = all(r.log_mass <= log_c - r.n * r.sigma_rate + 1e-9 for r in rows)
+    certified = all(r.log_mass <= -r.n * r.band_kl_rate + 1e-9 for r in rows)
     return SanovReport(int(nu1), int(nu2), sigma_bits, sigma_nats,
                        tuple(rows), prefactor, certified)
 

@@ -28,6 +28,10 @@ DEFAULT_TOL = 1e-9
 # Eigenvalues closer than this are treated as one degenerate cluster.
 DEGENERACY_TOL = 1e-8
 
+# Largest imaginary part a real value of a state may carry, relative to
+# max(1, |real part|): ``DensityState.expect_real`` and the outcome weights.
+_REALNESS_TOL = 1e-9
+
 __all__ = [
     "DEFAULT_TOL",
     "DEGENERACY_TOL",
@@ -360,13 +364,13 @@ class DensityState:
     keeps its own flags.
 
     The centralizer reports computed for the state are cached in
-    ``_reports``, a dict keyed by (id(ambient), degeneracy_tol) that
-    only ``centralizers.centralizer`` reads and fills; a full matrix algebra
-    is keyed by ("full", dim) in place of its id, as every one of a
-    dimension has the same report.  Each report holds its ambient, so a
-    keyed id cannot be reused while its entry lives; the dict lives and
-    dies with the state, one entry per ambient and degeneracy tolerance the
-    state was asked about, all full matrix algebras counting as one ambient.
+    ``_reports``, a dict keyed by id(ambient) that only
+    ``centralizers.centralizer`` reads and fills; a full matrix algebra is
+    keyed by ("full", dim) in place of its id, as every one of a dimension
+    has the same report.  Each report holds its ambient, so a keyed id
+    cannot be reused while its entry lives; the dict lives and dies with
+    the state, one entry per ambient the state was asked about, all full
+    matrix algebras of a dimension counting as one ambient.
     """
 
     def __init__(self, matrix, tol: float = DEFAULT_TOL, validate: bool = True):
@@ -409,8 +413,9 @@ class DensityState:
         """Value of the functional on A, tr(rho A)."""
         return complex(_expectations(self.matrix, np.asarray(A, dtype=complex)[None])[0])
 
-    def expect_real(self, A: np.ndarray, tol: float = 1e-9) -> float:
-        return float(_expectations(self.matrix, np.asarray(A, dtype=complex)[None], tol)[0])
+    def expect_real(self, A: np.ndarray) -> float:
+        return float(_expectations(self.matrix, np.asarray(A, dtype=complex)[None],
+                                   _REALNESS_TOL)[0])
 
     def spectral(self, degeneracy_tol: float = DEGENERACY_TOL) -> SpectralDecomposition:
         return spectral_decompose(self.matrix, degeneracy_tol=degeneracy_tol)

@@ -341,7 +341,7 @@ def reference_expect_onto_center(state, A, atoms, tol=DEFAULT_TOL):
 
 
 def reference_detect(state, partition, time, restriction, report,
-                     safety=0.5, tol=DEFAULT_TOL) -> DetectionVerdict:
+                     safety=0.5) -> DetectionVerdict:
     """The event criterion by the dense path, one projection at a time.
 
     The oracle for detection: each CE(P) is formed as a d x d matrix by
@@ -366,7 +366,7 @@ def reference_detect(state, partition, time, restriction, report,
             raise InvariantViolation(f"expected real value, got {w!r}")
         weights.append(w.real)
     gap = min((abs(a - b) for a, b in itertools.combinations(weights, 2)), default=0.0)
-    admissible = partition.size >= 2 and gap > tol
+    admissible = partition.size >= 2 and gap > DEFAULT_TOL
     threshold = safety * gap / partition.size if admissible else float("nan")
     return DetectionVerdict(admissible and distance <= threshold, float(time), float(distance),
                             threshold, partition, float(gap), admissible, tuple(weights))
@@ -382,7 +382,7 @@ class ReferencePath(NamedTuple):
 
 
 def reference_sample_paths(frame, initial, samples, draw, safety=0.5, record_policy="always",
-                           require_detection=True, tol=DEFAULT_TOL, steps=None):
+                           require_detection=True, steps=None):
     """The batched sampler one group at a time, depth first, with eager records.
 
     The test oracle for ``qevents.events._sample_paths``, which advances a
@@ -414,7 +414,7 @@ def reference_sample_paths(frame, initial, samples, draw, safety=0.5, record_pol
             state = DensityState(rho, validate=False)
             report = centralizer(_ambient(frame, k), state)
             R = _state_in_frame(report, state)
-            verdicts = [_detect(frame, k, state, p, report, R, safety, tol)
+            verdicts = [_detect(frame, k, state, p, report, R, safety)
                         for p in frame.partitions[k]]
             firing = sorted((v for v in verdicts if v.happened), key=lambda v: v.distance)
             if not firing:
@@ -460,7 +460,7 @@ def reference_sample_paths(frame, initial, samples, draw, safety=0.5, record_pol
 
 
 def reference_trajectory(frame, initial, safety=0.5, record_policy="always", rng_seed=0,
-                         require_detection=True, tol=DEFAULT_TOL) -> TrajectoryResult:
+                         require_detection=True) -> TrajectoryResult:
     """One trajectory by a plain per-sample loop over the frame times.
 
     The test oracle for the batched sampler behind ``qevents.run_trajectory``:
@@ -478,7 +478,7 @@ def reference_trajectory(frame, initial, safety=0.5, record_policy="always", rng
         if require_detection:
             report = centralizer(_ambient(frame, k), state_k)
             R = _state_in_frame(report, state_k)
-            verdicts = [_detect(frame, k, state_k, p, report, R, safety, tol) for p in candidates]
+            verdicts = [_detect(frame, k, state_k, p, report, R, safety) for p in candidates]
             firing = [v for v in verdicts if v.happened]
             if not firing:
                 branch.append(BranchRecord(t, False, any(v.admissible for v in verdicts),

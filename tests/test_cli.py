@@ -154,6 +154,21 @@ class TestConfigErrors:
         assert not out_path.exists()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["detect", "trajectory"])
+    def test_partition_dimension_must_match_the_state(self, tmp_path, capsys, command):
+        payload = {"schema": SCHEMA,
+                   "model": {"kind": "frame", "times": [1.0, 2.0],
+                             "initial_state": {"diag": [0.2, 0.3, 0.5]},
+                             "partitions": {"labels": ["+", "-"],
+                                            "projections": [{"diag": [1.0, 0.0]},
+                                                            {"diag": [0.0, 1.0]}]}}}
+        out_path = tmp_path / "out.json"
+        cfg = write_config(tmp_path, payload)
+        assert cli.main([command, "--config", cfg, "--out", str(out_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and not out_path.exists()
+        assert err.startswith("config error: model.partitions: projections must be 3 x 3")
+
     @pytest.mark.parametrize("value", ["false", 0, 1, None])
     def test_require_detection_must_be_a_boolean(self, tmp_path, capsys, value):
         cfg = hadamard_config(tmp_path, require_detection=value)

@@ -15,7 +15,6 @@ from qevents import (DensityState, FiniteAlgebra, HeisenbergFrame,
 import qevents.centralizers
 import qevents.events
 from qevents.events import _sample_paths
-from qevents.operators import DEGENERACY_TOL
 
 from _helpers import (in_tensor_block, outcome, random_density, random_partition,
                       random_unitary, reference_centralizer, reference_detect,
@@ -76,8 +75,6 @@ class TestFrameConstruction:
             HeisenbergFrame((1.0, 2.0), None, ((PART,),), (None, None))
 
     def test_explicit_dimension_must_match_the_partitions(self):
-        with pytest.raises(ValueError, match="partition dimension differs"):
-            HeisenbergFrame.build((1.0, 2.0), [(PART,), (PART,)], dim=3)
         part3 = PartitionOfUnity(("a", "b"), ([1, 0, 0], [0, 1, 1]))
         with pytest.raises(ValueError, match="partition dimension differs"):
             HeisenbergFrame.build((1.0, 2.0), [(PART,), (part3,)])
@@ -717,7 +714,7 @@ class TestDetectionAcrossAmbients:
             oracle = _oracle_atoms(ambient, state, report, merged)
             if state_kind == "deficient" and kind != "chain" and len(report.starts) > 1:
                 _, info = expect_onto_center(ambient, state, parts[0].projections[0],
-                                             report=report, return_info=True)
+                                             return_info=True)
                 assert info.fallback_atoms
             for v, p in zip(row, parts):
                 _assert_same_verdict(v, reference_detect(state, p, t, ambient, oracle))
@@ -960,13 +957,15 @@ class TestReportOnTheState:
                                                                outcomes, state_kind, order,
                                                                seed):
         # "factor" is M_n (x) 1_m, the full algebra when m = 1; "scalars" adds
-        # scalar blocks.  Each key clusters "merged" and "near" states apart.
-        keys = [DEGENERACY_TOL, 1e-10, 1e-6]
+        # scalar blocks.  The keys are the ambient, an equal copy and full
+        # access; every full matrix algebra of a dimension shares one report.
         gen = rng(seed)
         ambient, part, state = _block_instance(gen, kind, *shape, scalars, outcomes, state_kind)
+        keys = [ambient, FiniteAlgebra(ambient.dim, ambient.unitary, ambient.blocks),
+                full_matrix_algebra(ambient.dim)]
         frame = HeisenbergFrame((1.0, 2.0), None, ((part,), (part,)), (ambient, ambient))
         for j in order:
-            centralizer(ambient, state, keys[j])
+            centralizer(keys[j], state)
         first = earliest_event(frame, state).verdicts
         again = earliest_event(frame, state).verdicts
         fresh = earliest_event(frame, DensityState(state.matrix.copy())).verdicts
@@ -974,11 +973,12 @@ class TestReportOnTheState:
             for v, w, ref in zip(row, row_again, row_fresh):
                 _same_verdict_exactly(v, ref)
                 _same_verdict_exactly(w, ref)
-        reports = [centralizer(ambient, state, key) for key in keys]
-        assert len({id(r) for r in reports}) == len(keys)
+        reports = [centralizer(key, state) for key in keys]
+        full = ambient.blocks == ((ambient.dim, 1),)
+        assert len({id(r) for r in reports}) == (1 if full else len(keys))
         for key, report in zip(keys, reports):
-            assert centralizer(ambient, state, key) is report
-            ref = centralizer(ambient, DensityState(state.matrix.copy()), key)
+            assert centralizer(key, state) is report
+            ref = centralizer(key, DensityState(state.matrix.copy()))
             for field in ("frame", "starts", "atoms", "multiplicities", "clusters",
                           "eigenvalues"):
                 assert np.array_equal(getattr(report, field), getattr(ref, field))

@@ -675,7 +675,23 @@ class TestSanov:
         for r in rep.rows:
             assert r.empirical_rate >= r.band_kl_rate - 1e-9
             assert r.mass == pytest.approx(np.exp(-r.n * r.empirical_rate), rel=1e-9)
-            # certified inequality: mass <= prefactor * exp(-n * sigma)
+            # the envelope: mass <= prefactor * exp(-n * sigma)
+            assert r.mass <= rep.prefactor * np.exp(-r.n * r.sigma_rate) * (1 + 1e-9)
+
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 0)])
+    def test_certificate_is_the_chernoff_bound(self, pair):
+        m = reference_model()
+        rep = sanov_check(m, *pair, [50, 100, 200, 400, 800, 1600])
+        assert rep.certified
+        assert max(r.log_mass + r.n * r.band_kl_rate for r in rep.rows) < -2.0
+
+    def test_a_mass_above_the_chernoff_bound_is_not_certified(self, monkeypatch):
+        real = mesoscopic.log_band_mass
+        monkeypatch.setattr(mesoscopic, "log_band_mass", lambda *args: real(*args) + 5.0)
+        rep = sanov_check(reference_model(), 0, 1, [50, 100, 200, 400])
+        assert not rep.certified
+        # the envelope prefactor C is fitted to the masses, so it still bounds them
+        for r in rep.rows:
             assert r.mass <= rep.prefactor * np.exp(-r.n * r.sigma_rate) * (1 + 1e-9)
 
     def test_exponent_ratio_tightens_with_n(self):
