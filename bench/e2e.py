@@ -45,6 +45,22 @@ _COMMUTING = (
     "model = DeFinettiModel(np.array([0.4, 0.6]), np.array([0.8, 0.3]))\n"
     "frame, state = commuting_realization(model, 9)\n"
 )
+
+def _nesting(d: int) -> str:
+    """A 2-time frame whose restriction at the second time is the (1, 2) blocks
+    of diagonal_algebra(d): the frame checks that it lies in the first."""
+    return (
+        "from qevents import FiniteAlgebra, HeisenbergFrame, PartitionOfUnity, diagonal_algebra\n"
+        f"d = {d}\n"
+        "pairs = FiniteAlgebra(d, np.eye(d, dtype=complex), ((1, 2),) * (d // 2))\n"
+        "low = np.arange(d) < d // 2\n"
+        "part = PartitionOfUnity(('a', 'b'), (low.astype(float), (~low).astype(float)))\n"
+        "start = time.perf_counter()\n"
+        "frame = HeisenbergFrame.build((1.0, 2.0), part,\n"
+        "                              restrictions=[diagonal_algebra(d), pairs])\n"
+        "print(time.perf_counter() - start, repr(frame.restrictions[1] is pairs))\n")
+
+
 PROBES = {
     "detect_event, commuting_realization dim 1024": _COMMUTING + (
         "from qevents import detect_event\n"
@@ -69,6 +85,15 @@ PROBES = {
         "start = time.perf_counter()\n"
         "v = detect_event(frame, state, 1.0, part)\n"
         "print(time.perf_counter() - start, repr(v.distance))\n"),
+    "nesting (1, 2) blocks in diagonal_algebra(512)": _nesting(512),
+    "nesting (1, 2) blocks in diagonal_algebra(1024)": _nesting(1024),
+    "equal_span(D, commutant(D)), D = diagonal_algebra(256)": (
+        "from qevents import commutant, diagonal_algebra, equal_span\n"
+        "D = diagonal_algebra(256)\n"
+        "C = commutant(D)\n"
+        "start = time.perf_counter()\n"
+        "_, r = equal_span(D, C)\n"
+        "print(time.perf_counter() - start, repr(r))\n"),
 }
 
 

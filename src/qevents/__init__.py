@@ -6,12 +6,11 @@ from .errors import InadmissibleThresholdError, InvariantViolation
 from .operators import (DEFAULT_TOL, DEGENERACY_TOL, DensityState,
                         PartitionOfUnity, SpectralDecomposition, adjoint,
                         antihermitian_defect, conjugate, is_hermitian,
-                        is_projection, is_unitary, operator_from_json,
-                        operator_norm, operator_to_json, spectral_decompose)
+                        is_projection, is_unitary, operator_norm,
+                        spectral_decompose)
 from .algebras import (RANK_RCOND, SPAN_TOL, FiniteAlgebra, SpanContainment,
-                       algebra_from_json, algebra_to_json, center, commutant,
-                       contains, diagonal_algebra, equal_span,
-                       full_matrix_algebra, generate_algebra,
+                       center, commutant, contains, diagonal_algebra,
+                       equal_span, full_matrix_algebra, generate_algebra,
                        is_maximal_abelian)
 from .centralizers import (CentralizerReport, IncoherenceDefect,
                            ambient_representative, centralizer,

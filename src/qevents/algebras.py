@@ -26,13 +26,16 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .operators import (DEFAULT_TOL, DEGENERACY_TOL, _chained_clusters, _unitarity_defect,
-                        adjoint, as_operator, operator_to_json, operator_from_json)
+                        adjoint, as_operator)
 
 # Relative singular-value cutoff for rank decisions.
 RANK_RCOND = 1e-10
 
 # Tolerance for span membership and span equality checks.
 SPAN_TOL = 1e-8
+
+# Matrix entries of the units that ``_inclusion_residual`` scores at once.
+_UNIT_CHUNK = 1 << 18
 
 __all__ = [
     "RANK_RCOND",
@@ -48,8 +51,6 @@ __all__ = [
     "minimal_projections",
     "is_maximal_abelian",
     "equal_span",
-    "algebra_to_json",
-    "algebra_from_json",
 ]
 
 
@@ -61,8 +62,9 @@ class FiniteAlgebra:
     n_i m_i columns of V, column a * m_i + mu holding matrix index a and
     multiplicity index mu; the columns left over span the zero block.
     Derived structure is cached on first use with ``cached_property`` (V and
-    the blocks never change): ``basis``, ``minimal_central_projections`` and
-    the block layout by shape, ``_groups``.
+    the blocks never change): ``minimal_central_projections`` and the block
+    layout by shape, ``_groups``.  The span itself is never formed: inclusion
+    of one algebra in another is read off the two frames.
     """
 
     dim: int
@@ -99,13 +101,6 @@ class FiniteAlgebra:
         return frames
 
     @cached_property
-    def basis(self) -> tuple[np.ndarray, ...]:
-        """HS-orthonormal matrix units V (e_ab (x) 1_m / sqrt(m)) V*, block by block."""
-        units = [np.einsum("xam,ybm->abxy", W, W.conj()).reshape(-1, self.dim, self.dim)
-                 / np.sqrt(W.shape[2]) for W in self._block_frames()]
-        return tuple(np.concatenate(units))
-
-    @cached_property
     def minimal_central_projections(self) -> tuple[np.ndarray, ...]:
         """The block indicators z_i, minimal projections of the center (1 for a factor)."""
         frames = [W.reshape(self.dim, -1) for W in self._block_frames()]
@@ -129,6 +124,15 @@ class FiniteAlgebra:
         multiplicity: one (..., g, n, n) stack per group of ``_groups``."""
         return [Y[..., flat].mean(axis=-1) for _, flat in self._groups]
 
+    def _in_frame_projection(self, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For ``Y`` in V's frame and flattened, (..., dim^2): its projection
+        there (each block's multiplicity mean, zero elsewhere) and the HS norm
+        it removes, formed as the norm of the difference."""
+        Z = np.zeros_like(Y)
+        for (_, flat), q in zip(self._groups, self._block_means(Y)):
+            Z[..., flat] = q[..., None]
+        return Z, np.linalg.norm(Y - Z, axis=-1)
+
     def project(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Hilbert-Schmidt projection onto the algebra and the HS norm it removes.
 
@@ -140,11 +144,7 @@ class FiniteAlgebra:
         if self.blocks == ((self.dim, 1),):
             return X, np.zeros(lead)
         V = self.unitary
-        Y = (adjoint(V) @ X @ V).reshape(*lead, -1)
-        Z = np.zeros_like(Y)
-        for (_, flat), q in zip(self._groups, self._block_means(Y)):
-            Z[..., flat] = q[..., None]
-        residual = np.linalg.norm(Y - Z, axis=-1)
+        Z, residual = self._in_frame_projection((adjoint(V) @ X @ V).reshape(*lead, -1))
         return V @ Z.reshape(X.shape) @ adjoint(V), residual
 
     @classmethod
@@ -283,8 +283,31 @@ def contains(algebra: FiniteAlgebra, X: np.ndarray, tol: float = SPAN_TOL) -> Sp
 
 
 def _inclusion_residual(sub: FiniteAlgebra, sup: FiniteAlgebra) -> float:
-    """Largest HS residual in ``sup`` of an element of ``sub``'s orthonormal basis."""
-    return float(sup.project(np.stack(sub.basis))[1].max())
+    """Largest HS residual in ``sup`` of an HS-normalized matrix unit of ``sub``.
+
+    In ``sup``'s frame the unit V_sub (e_ab (x) 1_m / sqrt(m)) V_sub* of a
+    block (n, m) of ``sub`` is T_a T_b* / sqrt(m), where T_a holds the
+    block's m columns of W = V_sup* V_sub for matrix index a: d^2 m work a
+    unit, where conjugating by V costs d^3.  The units of one block shape
+    are scored ``_UNIT_CHUNK // d^2`` at a time, which bounds the memory.
+    Everything lies in the full matrix algebra.
+    """
+    if sup.blocks == ((sup.dim, 1),):
+        return 0.0
+    d = sub.dim
+    W = adjoint(sup.unitary) @ sub.unitary
+    step = max(1, _UNIT_CHUNK // (d * d))
+    worst = 0.0
+    for cols, _ in sub._groups:
+        g, n, m = cols.shape
+        # (g, n, d, m), each factor carrying m^(-1/4) of the unit's 1 / sqrt(m)
+        T = W[:, cols].transpose(1, 2, 0, 3) / m ** 0.25
+        units = np.indices((g, n, n)).reshape(3, -1)
+        for k in range(0, units.shape[1], step):
+            i, a, b = units[:, k:k + step]
+            Y = (T[i, a] @ T[i, b].conj().swapaxes(1, 2)).reshape(len(i), -1)
+            worst = max(worst, float(sup._in_frame_projection(Y)[1].max()))
+    return worst
 
 
 def commutant(algebra: FiniteAlgebra) -> FiniteAlgebra:
@@ -339,19 +362,3 @@ def is_maximal_abelian(algebra: FiniteAlgebra, ambient: FiniteAlgebra,
     if r > tol:
         raise InvariantViolation(f"algebra not inside ambient: residual {r:.3e}")
     return algebra.algebra_dim == len(algebra.blocks) == sum(n for n, _ in ambient.blocks)
-
-
-def algebra_to_json(algebra: FiniteAlgebra) -> dict:
-    return {
-        "dim": algebra.dim,
-        "basis": [operator_to_json(B) for B in algebra.basis],
-    }
-
-
-def algebra_from_json(obj: dict) -> FiniteAlgebra:
-    try:
-        dim = int(obj["dim"])
-        basis = [operator_from_json(b) for b in obj["basis"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed algebra object: {exc}") from exc
-    return FiniteAlgebra.from_span(basis, dim=dim)

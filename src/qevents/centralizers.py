@@ -283,12 +283,17 @@ def incoherence_defect(ambient: FiniteAlgebra, state: DensityState,
     an absolute rounding allowance and violations raise.
     """
     A = _in_ambient(ambient, A)
-    expect = expect_onto_center if use_center else expect_onto_centralizer
+    if use_center:
+        # one R for all N projections, as detection's distance
+        for P in partition.projections:
+            _in_ambient(ambient, P)
+        report = centralizer(ambient, state)
+        delta_prime = _center_distance(report, _state_in_frame(report, state), partition.stack)
+    else:   # the expectation checks that P lies in the ambient
+        delta_prime = max(operator_norm(expect_onto_centralizer(ambient, state, P) - P)
+                          for P in partition.projections)
     pinched = 0.0 + 0.0j
-    delta_prime = 0.0
     for P in partition.projections:
-        # the expectation checks that P lies in the ambient
-        delta_prime = max(delta_prime, operator_norm(expect(ambient, state, P) - P))
         pinched += state.expect(P @ A @ P)
     lhs = abs(state.expect(A) - pinched)
     n_outcomes = partition.size

@@ -1,8 +1,8 @@
 """Complex-matrix primitives: spectral data, states, partitions of unity.
 
 Operators are plain ``numpy.ndarray`` matrices of complex dtype.  The helpers
-here supply the predicates, decompositions and (de)serialization that the rest
-of the package builds on, exact up to the module tolerances.
+here supply the predicates and decompositions that the rest of the package
+builds on, exact up to the module tolerances.
 
 Diagonal operators need not be dense.  A state or a partition of unity can
 be built from diagonals (1-D arrays), is validated on them, and keeps them;
@@ -46,8 +46,6 @@ __all__ = [
     "operator_norm",
     "conjugate",
     "spectral_decompose",
-    "operator_to_json",
-    "operator_from_json",
 ]
 
 
@@ -504,31 +502,3 @@ class PartitionOfUnity:
 
     def __repr__(self):
         return f"PartitionOfUnity(labels={self.labels!r}, dim={self.dim})"
-
-
-# --- JSON round-tripping ---------------------------------------------------
-#
-# The wire form of an operator is {"dim": n, "re": [[...]], "im": [[...]]}.
-# Python floats survive json round trips exactly, so re-reading reproduces
-# the matrix bit for bit.
-
-def operator_to_json(A: np.ndarray) -> dict:
-    A = as_operator(A)
-    return {
-        "dim": int(A.shape[0]),
-        "re": np.real(A).tolist(),
-        "im": np.imag(A).tolist(),
-    }
-
-
-def operator_from_json(obj: dict) -> np.ndarray:
-    try:
-        dim = int(obj["dim"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed operator object: {exc}") from exc
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise ValueError(
-            f"operator entries have shape {re.shape}/{im.shape}, expected {(dim, dim)}")
-    return re + 1j * im

@@ -142,9 +142,24 @@ def orthonormal_rows(rows: np.ndarray, rcond: float = RANK_RCOND) -> np.ndarray:
     return vh[s > rcond * s[0]]
 
 
+def basis(algebra: FiniteAlgebra) -> tuple[np.ndarray, ...]:
+    """HS-orthonormal matrix units V (e_ab (x) 1_m / sqrt(m)) V*, block by block.
+
+    Sum_i n_i^2 dense dim x dim matrices: the oracle of the closed forms,
+    small dimensions only.
+    """
+    units, at = [], 0
+    for n, m in algebra.blocks:
+        W = algebra.unitary[:, at:at + n * m].reshape(algebra.dim, n, m)
+        units.append(np.einsum("xam,ybm->abxy", W, W.conj()).reshape(-1, algebra.dim, algebra.dim)
+                     / np.sqrt(m))
+        at += n * m
+    return tuple(np.concatenate(units))
+
+
 def span_rows(algebra: FiniteAlgebra) -> np.ndarray:
     """HS-orthonormal rows spanning an algebra, from its basis."""
-    return vec(algebra.basis)
+    return vec(basis(algebra))
 
 
 def reference_residual(rows: np.ndarray, X: np.ndarray) -> float:
@@ -217,17 +232,17 @@ def reference_minimal_projections(rows: np.ndarray, dim: int,
     draw is retried with fresh deterministic coefficients if an unlucky
     combination merges two atoms.
     """
-    basis = unvec(rows, dim)
-    for A in basis:
-        for B in basis:
+    mats = unvec(rows, dim)
+    for A in mats:
+        for B in mats:
             if operator_norm(A @ B - B @ A) > tol:
                 raise InvariantViolation("minimal projections need an abelian algebra")
-    herms = [H for B in basis for H in ((B + adjoint(B)) / 2.0, (B - adjoint(B)) / 2.0j)]
+    herms = [H for B in mats for H in ((B + adjoint(B)) / 2.0, (B - adjoint(B)) / 2.0j)]
     for attempt in range(8):
         coeff = np.random.default_rng(attempt).standard_normal(len(herms))
         dec = spectral_decompose(sum(c * H for c, H in zip(coeff, herms)),
                                  degeneracy_tol=DEGENERACY_TOL)
-        if len(dec.projections) == len(basis) and all(
+        if len(dec.projections) == len(mats) and all(
                 reference_residual(rows, P) <= tol for P in dec.projections):
             return dec.projections
     raise InvariantViolation("could not resolve the minimal projections")
@@ -244,13 +259,13 @@ def reference_equal_span(rows_a: np.ndarray, rows_b: np.ndarray, dim: int,
 def reference_is_maximal_abelian(rows: np.ndarray, ambient_rows: np.ndarray, dim: int,
                                  tol: float = SPAN_TOL) -> bool:
     """Whether the span is abelian and equals its relative commutant in the ambient span."""
-    basis = unvec(rows, dim)
-    for B in basis:
+    mats = unvec(rows, dim)
+    for B in mats:
         r = reference_residual(ambient_rows, B)
         if r > tol:
             raise InvariantViolation(f"algebra not inside ambient: residual {r:.3e}")
-    for i, A in enumerate(basis):
-        for B in basis[i + 1:]:
+    for i, A in enumerate(mats):
+        for B in mats[i + 1:]:
             if np.linalg.norm(A @ B - B @ A) > tol:
                 return False
     relative = reference_intersection(reference_commutant(rows, dim), ambient_rows)
@@ -275,7 +290,7 @@ def reference_centralizer(ambient: FiniteAlgebra, state: DensityState) -> Refere
     """
     Q = ambient_representative(ambient, state)
     d = ambient.dim
-    cols = np.stack([(Q @ E - E @ Q).reshape(-1) for E in ambient.basis], axis=1)
+    cols = np.stack([(Q @ E - E @ Q).reshape(-1) for E in basis(ambient)], axis=1)
     _, s, vh = np.linalg.svd(cols)
     # reference scale floored at 1 (orthonormal basis, trace-one state):
     # when Q commutes with everything the whole column stack is noise and
@@ -298,8 +313,8 @@ def reference_pinched_centralizer(ambient: FiniteAlgebra, state: DensityState) -
     Costs d^4 memory and d^6 time for full access; small d only.
     """
     report = centralizer(ambient, state)
-    basis = np.stack(ambient.basis)
-    pinched = sum(E @ basis @ E for E in report.state_spectral.projections)
+    units = np.stack(basis(ambient))
+    pinched = sum(E @ units @ E for E in report.state_spectral.projections)
     return FiniteAlgebra.from_span(pinched, dim=ambient.dim)
 
 

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qevents import (FiniteAlgebra, InvariantViolation, algebra_from_json,
-                     algebra_to_json, ambient_representative, center, commutant,
-                     contains, diagonal_algebra, equal_span, full_matrix_algebra,
+from qevents import (FiniteAlgebra, InvariantViolation, ambient_representative, center,
+                     commutant, contains, diagonal_algebra, equal_span, full_matrix_algebra,
                      generate_algebra, is_maximal_abelian, minimal_projections,
-                     operator_norm, operator_to_json)
+                     operator_norm)
+from qevents.algebras import _inclusion_residual
 
-from _helpers import (block_algebra, random_complex, random_density, random_hermitian,
-                      random_unitary, reference_center, reference_check_closure,
-                      reference_commutant, reference_equal_span,
+from _helpers import (basis, block_algebra, random_complex, random_density,
+                      random_hermitian, random_unitary, reference_center,
+                      reference_check_closure, reference_commutant, reference_equal_span,
                       reference_is_maximal_abelian, reference_minimal_projections,
                       reference_project, reference_residual, rng, run_capped, span_rows)
 
@@ -22,7 +22,7 @@ SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def conj_algebra(algebra, U):
-    return FiniteAlgebra.from_span([U.conj().T @ B @ U for B in algebra.basis])
+    return FiniteAlgebra.from_span([U.conj().T @ B @ U for B in basis(algebra)])
 
 
 class TestConstructors:
@@ -200,23 +200,6 @@ class TestCommutantMemory:
         assert peak < 32 * 2**20
 
 
-class TestJsonRoundTrip:
-    def test_round_trip_preserves_span(self):
-        gen = rng(43)
-        U = random_unitary(gen, 3)
-        A = conj_algebra(diagonal_algebra(3), U)
-        back = algebra_from_json(algebra_to_json(A))
-        ok, r = equal_span(back, A)
-        assert ok and r < 1e-10
-        assert back.dim == 3 and back.algebra_dim == 3
-
-    def test_a_span_that_is_not_an_algebra_is_rejected(self):
-        # span{1, E12} is not closed under the adjoint
-        obj = {"dim": 2, "basis": [operator_to_json(np.eye(2)), operator_to_json(E12)]}
-        with pytest.raises(InvariantViolation):
-            algebra_from_json(obj)
-
-
 @st.composite
 def wedderburn_algebras(draw):
     """V ((+) M_n (x) 1_m (+) 0_z) V* on at most 9 dimensions.
@@ -264,11 +247,11 @@ class TestWedderburnAgainstSpanOracles:
         d = A.dim
         rows = span_rows(A)
 
-        recovered = FiniteAlgebra.from_span(A.basis)
+        recovered = FiniteAlgebra.from_span(basis(A))
         assert sorted(recovered.blocks) == sorted(A.blocks)
         assert recovered.contains_identity == A.contains_identity
 
-        inside = sum(c * B for c, B in zip(gen.standard_normal(A.algebra_dim), A.basis))
+        inside = sum(c * B for c, B in zip(gen.standard_normal(A.algebra_dim), basis(A)))
         for X in (random_complex(gen, d), inside):
             assert abs(contains(A, X).residual - reference_residual(rows, X)) <= 1e-10
 
@@ -294,6 +277,20 @@ class TestWedderburnAgainstSpanOracles:
             ok, r = equal_span(A, other)
             ref_ok, ref_r = reference_equal_span(rows, span_rows(other), d)
             assert ok == ref_ok and abs(r - ref_r) <= 1e-10
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(A=wedderburn_algebras(), seed=st.integers(0, 2**32 - 1))
+    def test_inclusion_residuals_match_the_dense_oracle(self, A, seed):
+        d = A.dim
+        rotated = FiniteAlgebra(d, random_unitary(rng(seed), d), A.blocks)
+        abelian = maximal_abelian_part(A)
+        nested = [(center(A), A), (abelian, A), (center(A), abelian), (A, A)]
+        others = [(A, rotated), (rotated, A), (A, abelian), (commutant(A), A),
+                  (A, diagonal_algebra(d)), (full_matrix_algebra(d), A)]
+        for sub, sup in nested + others:
+            oracle = float(sup.project(np.stack(basis(sub)))[1].max())
+            assert abs(_inclusion_residual(sub, sup) - oracle) <= 1e-12
+        assert max(_inclusion_residual(sub, sup) for sub, sup in nested) <= 1e-13
 
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(dim=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))

@@ -14,8 +14,8 @@ from qevents import (DEGENERACY_TOL, DensityState, HeisenbergFrame,
                      full_matrix_algebra, generate_algebra, incoherence_defect,
                      operator_norm, run_trajectory)
 
-from _helpers import (block_algebra, in_tensor_block, random_density, random_hermitian,
-                      random_partition, random_unitary, reference_centralizer,
+from _helpers import (basis, block_algebra, in_tensor_block, random_density,
+                      random_hermitian, random_partition, random_unitary, reference_centralizer,
                       reference_expect_onto_center, reference_expect_onto_centralizer,
                       reference_pinched_centralizer,
                       reference_validate_projection_family, rng, run_capped, tensor_ambient,
@@ -44,7 +44,7 @@ class TestAmbientRepresentative:
             state = random_density(gen, dim)
             D = diagonal_algebra(dim)
             Q = ambient_representative(D, state)
-            for B in D.basis:
+            for B in basis(D):
                 lhs = np.trace(Q @ B)
                 assert lhs == pytest.approx(state.expect(B), abs=1e-10)
 
@@ -69,7 +69,7 @@ class TestCentralizerStructure:
         assert rep.centralizer.algebra_dim == 2
         assert rep.center.algebra_dim == 2
         P = PLUS.matrix
-        for A in rep.centralizer.basis:
+        for A in basis(rep.centralizer):
             assert operator_norm(A @ P - P @ A) < 1e-9
 
     def test_generic_state_centralizer_is_maximal_abelian(self):
@@ -124,7 +124,7 @@ class TestConditionalExpectations:
             A = random_hermitian(gen, dim)
             E = expect_onto_centralizer(ambient, state, A)
             # fixes the target algebra
-            for B in rep.centralizer.basis:
+            for B in basis(rep.centralizer):
                 np.testing.assert_allclose(
                     expect_onto_centralizer(ambient, state, B), B, atol=1e-8)
             # preserves the state
@@ -218,6 +218,24 @@ class TestIncoherenceDefect:
             d = incoherence_defect(full_matrix_algebra(dim), state, part, A)
             assert d.lhs <= d.bound + 1e-9
 
+    def test_a_four_outcome_partition_forms_r_once(self, monkeypatch):
+        formed, real = [], qevents.centralizers._state_in_frame
+
+        def spy(report, state):
+            formed.append(report)
+            return real(report, state)
+
+        monkeypatch.setattr(qevents.centralizers, "_state_in_frame", spy)
+        gen = rng(71)
+        ambient, state = full_matrix_algebra(6), random_density(gen, 6)
+        part = random_partition(gen, 6, 4)
+        d = incoherence_defect(ambient, state, part, random_hermitian(gen, 6))
+        assert len(formed) == 1
+        # the one batched distance is the largest of the per-projection norms
+        each = [operator_norm(expect_onto_center(ambient, state, P) - P)
+                for P in part.projections]
+        assert d.delta_prime == pytest.approx(max(each), abs=1e-12)
+
     def test_centralizer_variant_also_bounds(self):
         part = PartitionOfUnity(("+", "-"), (E11, E22))
         d = incoherence_defect(M2, PLUS, part, SX, use_center=False)
@@ -286,7 +304,7 @@ class TestClosedFormAgainstGenericOracle:
             assert operator_norm(P - ref.central_projections[j]) <= 1e-9
 
         coeff = gen.standard_normal(ambient.algebra_dim)
-        A = sum(c * B for c, B in zip(coeff, ambient.basis))
+        A = sum(c * B for c, B in zip(coeff, basis(ambient)))
         for X in (A, A.conj().T @ A, np.eye(dim, dtype=complex)):
             fast = expect_onto_center(ambient, state, X)
             slow = reference_expect_onto_center(state, X, ref.central_projections)[0]
@@ -410,7 +428,7 @@ class TestClosedFormCentralizer:
             Q = ambient_representative(ambient, state)
             Qbar = rep.state_spectral.reconstruct()
             spread = operator_norm(Q - Qbar)
-            for B in rep.centralizer.basis:
+            for B in basis(rep.centralizer):
                 assert contains(ambient, B)[0]
                 assert operator_norm(Qbar @ B - B @ Qbar) <= 1e-9
                 # [Q, B] = [Q - Qbar, B]

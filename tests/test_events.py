@@ -1,4 +1,5 @@
 from pathlib import Path
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -94,8 +95,8 @@ class TestFrameConstruction:
             HeisenbergFrame((1.0, 2.0), (I2, I2), ((PART,), (PART,)), (D, None))
 
     def test_a_repeated_restriction_is_not_checked_against_itself(self):
-        # checking D inside D would materialize D.basis: d dense d x d
-        # matrices, 16 GB at d = 1024
+        # checking D inside D would score its d matrix units, each a dense
+        # d x d matrix: 9 s at d = 1024
         script = (
             "import time\n"
             "import numpy as np\n"
@@ -114,6 +115,22 @@ class TestFrameConstruction:
         assert proc.returncode == 0, proc.stderr[-2000:]
         seconds, peak = map(float, proc.stdout.split())
         assert seconds < 1.0 and peak < 200 * 2 ** 20, (seconds, peak / 2 ** 20)
+
+    def test_nesting_distinct_restrictions_stays_out_of_their_spans(self):
+        # the (1, 2) blocks of diagonal_algebra(256) inside it: each of the 128
+        # units is formed in the diagonal algebra's frame a few at a time,
+        # where stacking them as dense matrices takes 128 MB
+        d = 256
+        pairs = FiniteAlgebra(d, np.eye(d, dtype=complex), ((1, 2),) * (d // 2))
+        low = np.arange(d) < d // 2
+        part = PartitionOfUnity(("a", "b"), (low.astype(float), (~low).astype(float)))
+        tracemalloc.start()
+        try:
+            HeisenbergFrame.build((1.0, 2.0), part, restrictions=[diagonal_algebra(d), pairs])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2 ** 20, peak / 2 ** 20
 
     def test_index_of_unknown_time(self):
         with pytest.raises(ValueError, match="not in the frame"):

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from qevents import (DEFAULT_TOL, DensityState, HeisenbergFrame, InvariantViolation,
                      PartitionOfUnity, SpectralDecomposition, adjoint, antihermitian_defect, conjugate,
-                     is_hermitian, is_projection, is_unitary, operator_from_json,
-                     operator_norm, operator_to_json, spectral_decompose)
+                     is_hermitian, is_projection, is_unitary, operator_norm,
+                     spectral_decompose)
 from qevents.operators import _checked_norm, _unitarity_defect, validate_projection_family
 
 from _helpers import (outcome, random_blocks, random_density, random_hermitian,
@@ -235,20 +235,6 @@ class TestPartitionOfUnity:
         np.testing.assert_allclose(moved.projection_for(1.0),
                                    np.array([[0.5, 0.5], [0.5, 0.5]]), atol=1e-12)
         assert moved.labels == part.labels
-
-
-class TestJsonRoundTrip:
-    def test_operator_round_trip_is_exact(self):
-        gen = rng(23)
-        A = random_hermitian(gen, 3) + 1j * 0.25 * (SZ[0, 0]) * np.eye(3)
-        back = operator_from_json(operator_to_json(A))
-        np.testing.assert_array_equal(back, A)
-
-    def test_payload_shape(self):
-        obj = operator_to_json(np.eye(2, dtype=complex))
-        assert obj["dim"] == 2
-        assert obj["re"] == [[1.0, 0.0], [0.0, 1.0]]
-        assert obj["im"] == [[0.0, 0.0], [0.0, 0.0]]
 
 
 # Perturbations of spectral norm ``eps`` at entry (i, i) or (i, j), i != j.
