@@ -40,11 +40,20 @@ PROBE_BYTES = 2 << 30
 # each probe script sets up its inputs, then prints the seconds and the
 # result of the call it measures; last the child prints its peak RSS in KiB,
 # read as VmHWM, since ru_maxrss may count the memory of the forking parent
-_COMMUTING = (
-    "from qevents import DeFinettiModel, commuting_realization\n"
-    "model = DeFinettiModel(np.array([0.4, 0.6]), np.array([0.8, 0.3]))\n"
-    "frame, state = commuting_realization(model, 9)\n"
-)
+def _commuting(n: int, call: str) -> str:
+    """``call`` on the commuting model of 2 * 2**n dimensions, timed."""
+    return (
+        "from qevents import (DeFinettiModel, commuting_realization, detect_event,\n"
+        "                     run_trajectory, sampler_vs_measure)\n"
+        "model = DeFinettiModel(np.array([0.4, 0.6]), np.array([0.8, 0.3]))\n"
+        f"frame, state = commuting_realization(model, {n})\n"
+        "start = time.perf_counter()\n"
+        f"result = {call}\n"
+        "print(time.perf_counter() - start, repr(result))\n")
+
+
+_DETECT = "detect_event(frame, state, frame.times[0], frame.partitions[0][0]).distance"
+_TRAJECTORY = "len(run_trajectory(frame, state, require_detection=False).history)"
 
 def _nesting(d: int) -> str:
     """A 2-time frame whose restriction at the second time is the (1, 2) blocks
@@ -62,16 +71,14 @@ def _nesting(d: int) -> str:
 
 
 PROBES = {
-    "detect_event, commuting_realization dim 1024": _COMMUTING + (
-        "from qevents import detect_event\n"
-        "start = time.perf_counter()\n"
-        "v = detect_event(frame, state, frame.times[0], frame.partitions[0][0])\n"
-        "print(time.perf_counter() - start, repr(v.distance))\n"),
-    "sampler_vs_measure 1000 samples, commuting_realization dim 1024": _COMMUTING + (
-        "from qevents import sampler_vs_measure\n"
-        "start = time.perf_counter()\n"
-        "tv = sampler_vs_measure(frame, state, len(frame.times), 1000, seed=0)\n"
-        "print(time.perf_counter() - start, repr(tv))\n"),
+    "detect_event, commuting_realization dim 1024": _commuting(9, _DETECT),
+    "sampler_vs_measure 1000 samples, commuting_realization dim 1024": _commuting(
+        9, "sampler_vs_measure(frame, state, len(frame.times), 1000, seed=0)"),
+    "unconditional run_trajectory, commuting_realization dim 1024": _commuting(9, _TRAJECTORY),
+    "detect_event, commuting_realization dim 4096": _commuting(11, _DETECT),
+    "unconditional run_trajectory, commuting_realization dim 4096": _commuting(11, _TRAJECTORY),
+    "sampler_vs_measure 10000 samples, commuting_realization dim 4096": _commuting(
+        11, "sampler_vs_measure(frame, state, 11, 10_000)"),
     "detect_event, diagonal_algebra(1024), generic dense state": (
         "from qevents import (DensityState, HeisenbergFrame, PartitionOfUnity,\n"
         "                     detect_event, diagonal_algebra)\n"

@@ -62,9 +62,11 @@ class FiniteAlgebra:
     n_i m_i columns of V, column a * m_i + mu holding matrix index a and
     multiplicity index mu; the columns left over span the zero block.
     Derived structure is cached on first use with ``cached_property`` (V and
-    the blocks never change): ``minimal_central_projections`` and the block
-    layout by shape, ``_groups``.  The span itself is never formed: inclusion
-    of one algebra in another is read off the two frames.
+    the blocks never change): ``minimal_central_projections``, the block
+    layout by shape, ``_groups``, and ``_diagonal_runs``, which marks the
+    algebras whose blocks are runs of the standard basis.  The span itself
+    is never formed: inclusion of one algebra in another is read off the two
+    frames.
     """
 
     dim: int
@@ -105,6 +107,20 @@ class FiniteAlgebra:
         """The block indicators z_i, minimal projections of the center (1 for a factor)."""
         frames = [W.reshape(self.dim, -1) for W in self._block_frames()]
         return tuple(W @ adjoint(W) for W in frames)
+
+    @cached_property
+    def _diagonal_runs(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Where V is exactly the identity, every n_i = 1 and there is no zero
+        block (``diagonal_algebra`` and its coarse-grainings), each block is a
+        run of indices: the first index of each block and the block of each
+        index.  None for any other algebra."""
+        if not self.contains_identity or any(n != 1 for n, _ in self.blocks):
+            return None
+        V = self.unitary
+        if np.count_nonzero(V) != self.dim or not (np.diagonal(V) == 1.0).all():
+            return None
+        sizes = np.array([m for _, m in self.blocks])
+        return np.cumsum(sizes) - sizes, np.repeat(np.arange(len(sizes)), sizes)
 
     @cached_property
     def _groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:

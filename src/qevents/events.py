@@ -23,8 +23,9 @@ from .algebras import (FiniteAlgebra, SPAN_TOL, _inclusion_residual, contains,
                        full_matrix_algebra)
 from .centralizers import CentralizerReport, _center_distance, _state_in_frame, centralizer
 from .errors import InadmissibleThresholdError, InvariantViolation
-from .operators import (DEFAULT_TOL, DensityState, PartitionOfUnity, _REALNESS_TOL,
-                        _checked_norm, _expectations, _unitarity_defect, as_operator)
+from .operators import (DEFAULT_TOL, DEGENERACY_TOL, DensityState, PartitionOfUnity,
+                        _REALNESS_TOL, _chained_clusters, _checked_norm, _expectations,
+                        _unitarity_defect, as_operator)
 from .seeding import _stream_uniforms, substream
 
 logger = logging.getLogger(__name__)
@@ -65,10 +66,11 @@ class HeisenbergFrame:
     ``restrictions[k]`` is the algebra of observables still accessible from
     ``times[k]`` on; later algebras must be contained in earlier ones.  A
     ``None`` entry stands for unrestricted access (the full matrix algebra,
-    materialized lazily only when detection asks for it, so large frames used
-    purely for history evaluation never pay for it).  ``propagators`` given
-    as None stands for the identity at every time; the frame then holds no
-    d x d array of its own, and its dimension is that of the partitions.
+    materialized lazily only when dense detection asks for it, so large
+    frames used purely for history evaluation or diagonal detection never
+    pay for it).  ``propagators`` given as None stands for the identity at
+    every time; the frame then holds no d x d array of its own, and its
+    dimension is that of the partitions.
 
     Derived data is cached on the instance with ``functools.cached_property``:
     ``full_ambient``, and ``propagators`` when given as None (one shared,
@@ -215,10 +217,17 @@ class HeisenbergFrame:
         """Residual of the partition's first projection outside the restriction
         at step k, or None if every projection lies inside.
 
-        Cached for the frame's own candidates at step k, recognized by
-        identity; any other partition is checked again on every call, so the
-        cache holds at most one entry per candidate.
+        Full access (a None restriction) holds every partition of the frame's
+        dimension, so that case reads no projection and builds no
+        ``full_ambient``.  Otherwise the check is cached for the frame's own
+        candidates at step k, recognized by identity; any other partition is
+        checked again on every call, so the cache holds at most one entry per
+        candidate.
         """
+        if self.restrictions[k] is None:
+            if partition.dim != self.dim:
+                raise ValueError(f"dimension mismatch: expected {self.dim}, got {partition.dim}")
+            return None
         key = next(((k, i) for i, c in enumerate(self.partitions[k]) if c is partition), None)
         if key in self._restriction_checks:
             return self._restriction_checks[key]
@@ -299,16 +308,21 @@ def admissible_threshold(state: DensityState, partition: PartitionOfUnity,
         raise ValueError(f"safety factor must lie in (0, 1), got {safety!r}")
     if partition.size < 2:
         raise InadmissibleThresholdError("no admissible threshold: single-outcome partition")
-    gap = _weight_gap(_outcome_weights(state, partition))
+    gap = _weight_gap(tuple(_born_weights(state, partition, _REALNESS_TOL).tolist()))
     if gap <= DEFAULT_TOL:
         raise InadmissibleThresholdError(
             f"no admissible threshold: outcome weight gap {gap:.3e}")
     return safety * gap
 
 
-def _outcome_weights(state: DensityState, partition: PartitionOfUnity) -> tuple[float, ...]:
-    """tr(rho P_j) in label order, each checked real (``_expectations``)."""
-    return tuple(_expectations(state.matrix, partition.stack, _REALNESS_TOL).tolist())
+def _born_weights(state: DensityState, partition: PartitionOfUnity,
+                  tol: float | None = None) -> np.ndarray:
+    """tr(rho P_j) in label order (``_expectations``, real parts checked within
+    ``tol`` if given), on the diagonals when the state and the partition both
+    have them."""
+    if state.diagonal is not None and partition.diagonals is not None:
+        return _expectations(state.diagonal, partition.diagonals, tol)
+    return _expectations(state.matrix, partition.stack, tol)
 
 
 def _weight_gap(weights: tuple[float, ...]) -> float:
@@ -317,18 +331,27 @@ def _weight_gap(weights: tuple[float, ...]) -> float:
     return min((abs(a - b) for i, a in enumerate(weights) for b in weights[i + 1:]), default=0.0)
 
 
+def _check_inside(frame: HeisenbergFrame, k: int, partition: PartitionOfUnity) -> None:
+    r = frame._outside_restriction(k, partition)
+    if r is not None:
+        raise InvariantViolation(f"partition not inside the restriction algebra at time "
+                                 f"{frame.times[k]}: residual {r:.3e}")
+
+
 def _detect(frame: HeisenbergFrame, k: int, state: DensityState,
             partition: PartitionOfUnity, report: CentralizerReport, R: np.ndarray,
             safety: float) -> DetectionVerdict:
     """The event criterion for one candidate, on the state's report and
     R = ``_state_in_frame(report, state)``."""
-    time = frame.times[k]
-    r = frame._outside_restriction(k, partition)
-    if r is not None:
-        raise InvariantViolation(
-            f"partition not inside the restriction algebra at time {time}: residual {r:.3e}")
+    _check_inside(frame, k, partition)
     distance = _center_distance(report, R, partition.stack)
-    weights = _outcome_weights(state, partition)
+    weights = tuple(_expectations(state.matrix, partition.stack, _REALNESS_TOL).tolist())
+    return _verdict(frame.times[k], partition, distance, weights, safety)
+
+
+def _verdict(time: float, partition: PartitionOfUnity, distance: float,
+             weights: tuple[float, ...], safety: float) -> DetectionVerdict:
+    """The criterion's verdict from the candidate's distance and outcome weights."""
     gap = _weight_gap(weights)
     admissible = partition.size >= 2 and gap > DEFAULT_TOL
     if admissible:
@@ -355,13 +378,88 @@ def detect_event(frame: HeisenbergFrame, state: DensityState, time,
     return _verdicts(frame, frame.index_of(time), state, (partition,), safety)[0]
 
 
+def _has_diagonals(state: DensityState, partitions) -> bool:
+    """Whether the state and every partition have diagonals (the diagonal path)."""
+    return state.diagonal is not None and all(p.diagonals is not None for p in partitions)
+
+
 def _verdicts(frame: HeisenbergFrame, k: int, state: DensityState, candidates,
-              safety: float) -> list[DetectionVerdict]:
-    """``_detect`` for each candidate at frame time k, on one centralizer report
-    and one R = F* rho F."""
-    report = centralizer(_ambient(frame, k), state)
-    R = _state_in_frame(report, state)
-    return [_detect(frame, k, state, p, report, R, safety) for p in candidates]
+              safety: float, diagonal: bool | None = None) -> list[DetectionVerdict]:
+    """The verdict of each candidate at frame time k.
+
+    ``diagonal`` says whether the state and every candidate have diagonals;
+    a caller that walks many steps decides it once, and None decides it here.
+    With diagonals and an ambient of diagonal atoms (``_diagonal_atoms``),
+    the distance and the weights come from the diagonals alone
+    (``_diagonal_distance``); otherwise ``_detect`` runs on one centralizer
+    report and one R = F* rho F.
+    """
+    if diagonal is None:
+        diagonal = _has_diagonals(state, candidates)
+    atoms = _diagonal_atoms(frame, k, state) if diagonal else None
+    if atoms is None:
+        report = centralizer(_ambient(frame, k), state)
+        R = _state_in_frame(report, state)
+        return [_detect(frame, k, state, p, report, R, safety) for p in candidates]
+    verdicts = []
+    for p in candidates:
+        _check_inside(frame, k, p)
+        distance = _diagonal_distance(state.diagonal, p.diagonals, *atoms)
+        weights = tuple(_expectations(state.diagonal, p.diagonals, _REALNESS_TOL).tolist())
+        verdicts.append(_verdict(frame.times[k], p, distance, weights, safety))
+    return verdicts
+
+
+def _diagonal_atoms(frame: HeisenbergFrame, k: int, state: DensityState):
+    """The atoms of the center of a diagonal state's centralizer at step k, as
+    runs: (order, starts, atom), atom a holding the indices ``order[starts[a]:]``
+    up to the next start (order None: the indices themselves), and ``atom``
+    the atom of each of them in that order; or None unless the restriction is
+    full access or ``FiniteAlgebra._diagonal_runs`` marks it.
+
+    Under full access the state's eigenbasis is the standard basis: the atoms
+    are the clusters of the stably sorted diagonal, chained within
+    ``DEGENERACY_TOL`` as ``centralizer`` clusters eigh's values.  Under an
+    ambient of runs each run is one atom.  The state is checked as
+    ``centralizer`` checks it: its dimension, and its anti-Hermitian part
+    within 1e-8, here the imaginary part of each diagonal entry (of each
+    run's mean in ``centralizer``).
+    """
+    ambient = frame.restrictions[k]
+    full = ambient is None or ambient.blocks == ((ambient.dim, 1),)
+    if not full and ambient._diagonal_runs is None:
+        return None
+    lam = state.diagonal
+    if state.dim != frame.dim:
+        raise ValueError("state and algebra dimensions differ")
+    defect = float(np.abs(lam.imag).max())
+    if defect > 1e-8:
+        raise InvariantViolation(
+            f"spectral_decompose requires Hermitian input: anti-Hermitian part norm {defect:.3e}")
+    if not full:
+        return None, *ambient._diagonal_runs
+    order = np.argsort(lam.real, kind="stable")
+    opens, _ = _chained_clusters(lam.real[order], np.ones(len(lam)), DEGENERACY_TOL)
+    return order, np.flatnonzero(opens), np.cumsum(opens) - 1
+
+
+def _diagonal_distance(lam: np.ndarray, p: np.ndarray, order: np.ndarray | None,
+                       starts: np.ndarray, atom: np.ndarray) -> float:
+    """max_j ||CE(P_j) - P_j|| for a diagonal state ``lam`` and the (N, d)
+    diagonals ``p`` of a partition, the atoms given by ``_diagonal_atoms``.
+
+    CE(P_j) is c_ja on atom a, with c_ja = sum Re(lam p_j) / sum Re lam over
+    the atom, or sum Re p_j / size where sum Re lam <= ``DEFAULT_TOL``: the
+    sums ``centralizer``'s frame takes (``_center_coefficients``), in the
+    same order.  The distance is max |c_ja - Re p_jx| over the atoms' indices.
+    """
+    cross, pr, lr = (lam * p).real, p.real, lam.real
+    if order is not None:
+        cross, pr, lr = cross[:, order], pr[:, order], lr[order]
+    w = np.add.reduceat(lr, starts)
+    c = np.add.reduceat(pr, starts, axis=1) / np.bincount(atom)
+    np.divide(np.add.reduceat(cross, starts, axis=1), w, out=c, where=w > DEFAULT_TOL)
+    return float(np.abs(c[:, atom] - pr).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,7 +479,8 @@ def earliest_event(frame: HeisenbergFrame, state: DensityState,
     (smallest-distance) detection.  If nothing fires the report says so and
     still carries every verdict for audit.
     """
-    verdicts = tuple(tuple(_verdicts(frame, k, state, frame.partitions[k], safety))
+    diagonal = _has_diagonals(state, (p for c in frame.partitions for p in c))
+    verdicts = tuple(tuple(_verdicts(frame, k, state, frame.partitions[k], safety, diagonal))
                      for k in range(len(frame.times)))
 
     fired = [any(v.happened for v in row) for row in verdicts]
@@ -403,8 +502,10 @@ def earliest_event(frame: HeisenbergFrame, state: DensityState,
 
 def born_probabilities(state: DensityState,
                        partition: PartitionOfUnity) -> list[tuple[object, float]]:
-    """Outcome weights of a partition in a state, checked to sum to one within 1e-12."""
-    values = _expectations(state.matrix, partition.stack).tolist()
+    """Outcome weights of a partition in a state, checked to sum to one within 1e-12.
+
+    On the diagonals when the state and the partition both have them."""
+    values = _born_weights(state, partition).tolist()
     for v in values:
         if abs(v.imag) > 1e-9 or v.real < -1e-9:
             raise InvariantViolation(f"outcome weight {v!r} is not a probability")
@@ -472,7 +573,7 @@ def run_trajectory(frame: HeisenbergFrame, initial: DensityState,
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else substream(int(rng_seed))
     (path,) = _sample_paths(frame, initial, 1, lambda members, j: rng.random(members.size),
                             safety, record_policy, require_detection)
-    return TrajectoryResult(path.history, DensityState(path.state), path.branch_log)
+    return TrajectoryResult(path.history, DensityState(path.final), path.branch_log)
 
 
 def sample_trajectories(frame: HeisenbergFrame, initial: DensityState, samples: int,
@@ -509,17 +610,25 @@ def _block_paths(frame: HeisenbergFrame, initial: DensityState, block: np.ndarra
 class SampledPath:
     """One distinct outcome path of a sampled batch and the samples that took it.
 
-    ``members`` holds the samples' indices, ascending, and ``state`` the
-    path's final density matrix.  ``entries`` holds one plain tuple of
-    ``BranchRecord`` fields per time; ``branch_log``, ``history`` and
-    ``outcomes`` are built from them on first read
-    (``functools.cached_property``).
+    ``members`` holds the samples' indices, ascending, and ``final`` the
+    path's final state as the sampler carried it: its diagonal on the
+    diagonal path, else its density matrix.  ``state`` is the final d x d
+    density matrix, built from a diagonal only on first read.  ``entries``
+    holds one plain tuple of ``BranchRecord`` fields per time;
+    ``branch_log``, ``history`` and ``outcomes`` are built from them on first
+    read (``functools.cached_property``).
     """
 
-    def __init__(self, members: np.ndarray, state: np.ndarray, entries: tuple):
+    def __init__(self, members: np.ndarray, final: np.ndarray, entries: tuple):
         self.members = members
-        self.state = state
+        self.final = final
         self.entries = entries
+        if final.ndim == 2:
+            self.state = final
+
+    @cached_property
+    def state(self) -> np.ndarray:
+        return np.diag(self.final)
 
     @cached_property
     def branch_log(self) -> tuple[BranchRecord, ...]:
@@ -547,14 +656,19 @@ def _sample_paths(frame: HeisenbergFrame, initial: DensityState, samples: int,
     step at a time.  A chunk holds its groups' states stacked (G, d, d), per
     sample its index, its group and its event count, and per group its
     record entries as plain tuples and, with detection, its
-    ``DensityState``.  At step k the event verdict (with detection: one
-    centralizer per group, the minimal-distance firing candidate wins) and
-    the Born weights (the winning verdict's ``weights``, or one
-    ``_expectations`` call without detection) are computed per group; a group
-    with no firing candidate carries over without drawing, keeping its
-    ``DensityState`` and so the centralizer reports kept on it (the root's
-    is ``initial`` itself; a child of a firing group gets a new one).  One
-    call ``draw(members, j)`` then supplies a uniform for each sample of
+    ``DensityState``.  When the initial state and every candidate of the
+    walked steps have diagonals (decided once per call), the chunk holds the
+    states' diagonals (G, d) instead and every product below is taken on
+    them; each group's ``DensityState`` is then built from its diagonal, and
+    no d x d array is formed unless a step's restriction sends detection
+    down the dense path (``_verdicts``).  At step k the event verdict (with
+    detection: one ``_verdicts`` call per group, the minimal-distance firing
+    candidate wins) and the Born weights (the winning verdict's ``weights``,
+    or one ``_expectations`` call without detection) are computed per group;
+    a group with no firing candidate carries over without drawing, keeping
+    its ``DensityState`` and so the centralizer reports kept on it (the
+    root's is ``initial`` itself; a child of a firing group gets a new one).
+    One call ``draw(members, j)`` then supplies a uniform for each sample of
     the firing groups, ``j[i]`` being the number of events sample
     ``members[i]`` has seen (counting from 0), so each sample uses one
     uniform per fired time, in time order, exactly as a one-at-a-time loop
@@ -562,7 +676,8 @@ def _sample_paths(frame: HeisenbergFrame, initial: DensityState, samples: int,
     "right"), m - 1) of its group's cumulative weights, and the samples
     regroup by (group, outcome) in label order.  A recorded outcome j
     collapses its group to ``F[j] @ rho @ F[j] / w[j]`` in one stacked
-    product; an unrecorded step dephases each group instead.
+    product (``p[j] * rho * p[j] / w[j]`` on diagonals); an unrecorded step
+    dephases each group instead, summing ``P_j rho P_j`` in label order.
 
     The children are cut into chunks of at most ``_CHUNK_ELEMENTS`` numbers
     (one group each if a group is larger) and pushed depth first, so paths
@@ -576,13 +691,19 @@ def _sample_paths(frame: HeisenbergFrame, initial: DensityState, samples: int,
     if not require_detection and any(len(c) != 1 for c in frame.partitions[:steps]):
         raise ValueError("unconditional stepping needs exactly one candidate per time")
 
-    if not np.isfinite(initial.matrix).all():
+    diagonal = _has_diagonals(initial, (p for c in frame.partitions[:steps] for p in c))
+    root = initial.diagonal if diagonal else initial.matrix
+    if not np.isfinite(root).all():
         raise InvariantViolation("initial state is not finite")
-    # a chunk: step, states (G, d, d), then per sample its index, its group
-    # and its event count, then per group its record entries and, with
-    # detection, its DensityState (None until ``_step_verdicts`` builds it)
+    # products and families on matrices, or elementwise on diagonals
+    mul = np.multiply if diagonal else np.matmul
+    family = (lambda p: p.diagonals) if diagonal else (lambda p: p.stack)
+    # a chunk: step, states (G, d, d) or diagonals (G, d), then per sample its
+    # index, its group and its event count, then per group its record entries
+    # and, with detection, its DensityState (None until ``_step_verdicts``
+    # builds it)
     zeros = np.zeros(samples, dtype=np.intp)     # never written in place
-    pending = [(0, initial.matrix[None], np.arange(samples), zeros, zeros, [()],
+    pending = [(0, root[None], np.arange(samples), zeros, zeros, [()],
                 [initial] if require_detection else None)]
     while pending:
         k, rho, members, gid, seen, entries, states = pending.pop()
@@ -591,7 +712,7 @@ def _sample_paths(frame: HeisenbergFrame, initial: DensityState, samples: int,
             continue
         t = frame.times[k]
         rows, parts, heads, weights, carried, shared = _step_verdicts(frame, k, rho, states,
-                                                                      safety)
+                                                                      safety, diagonal)
         if not rows:    # no group fires: the chunk carries over as it is
             pending.append((k + 1, rho, members, gid, seen,
                             [e + (carried[g],) for g, e in enumerate(entries)], states))
@@ -664,13 +785,16 @@ def _sample_paths(frame: HeisenbergFrame, initial: DensityState, samples: int,
             states[q // width] if q // width in carried else None for q in kids]
         if recorded:
             if shared is None:
-                F = np.stack([parts[r].stack[j] for r, j in zip(f_row, f_label)])
+                F = np.stack([family(parts[r])[j] for r, j in zip(f_row, f_label)])
             else:
-                F = shared.stack[f_label]
-            grown = F @ (rho[f_parent] if split or carried else rho) @ F
-            grown /= np.array(f_weight)[:, None, None]
+                F = family(shared)[f_label]
+            grown = mul(mul(F, rho[f_parent] if split or carried else rho), F)
+            grown /= np.array(f_weight).reshape(-1, *(1,) * (rho.ndim - 1))
+            if diagonal:    # -0 parts become +0, as the sums of a matrix product leave them
+                grown += 0.0
         else:
-            dephased = [sum(P @ rho[g] @ P for P in p.stack) for g, p in zip(rows, parts)]
+            dephased = [sum(mul(mul(P, rho[g]), P) for P in family(p))
+                        for g, p in zip(rows, parts)]
             grown = np.array([dephased[r] for r in f_row])
         if carried:
             children = rho[[q // width for q in kids]]
@@ -691,8 +815,9 @@ def _sample_paths(frame: HeisenbergFrame, initial: DensityState, samples: int,
 
 
 def _step_verdicts(frame: HeisenbergFrame, k: int, rho: np.ndarray, states: list | None,
-                   safety: float):
-    """The event verdicts at step k for each group of the (G, d, d) ``rho``.
+                   safety: float, diagonal: bool):
+    """The event verdicts at step k for each group of the (G, d, d) ``rho``, or
+    of its (G, d) diagonals when ``diagonal`` (see ``_sample_paths``).
 
     ``states`` holds each group's ``DensityState``, or None where the group
     has none yet; one is built for it here and stored in the list.  Returns
@@ -704,7 +829,8 @@ def _step_verdicts(frame: HeisenbergFrame, k: int, rho: np.ndarray, states: list
     """
     if states is None:
         partition = frame.partitions[k][0]
-        weights = [_expectations(r, partition.stack) for r in rho]
+        stack = partition.diagonals if diagonal else partition.stack
+        weights = [_expectations(r, stack) for r in rho]
         return (range(len(rho)), [partition] * len(rho), [(None, None, None)] * len(rho),
                 weights, {}, partition)
     t = frame.times[k]
@@ -713,7 +839,7 @@ def _step_verdicts(frame: HeisenbergFrame, k: int, rho: np.ndarray, states: list
         state = states[g]
         if state is None:
             state = states[g] = DensityState(rho[g], validate=False)
-        verdicts = _verdicts(frame, k, state, frame.partitions[k], safety)
+        verdicts = _verdicts(frame, k, state, frame.partitions[k], safety, diagonal)
         firing = sorted((v for v in verdicts if v.happened), key=lambda v: v.distance)
         if not firing:
             carried[g] = (t, False, any(v.admissible for v in verdicts),
@@ -732,10 +858,14 @@ def _step_verdicts(frame: HeisenbergFrame, k: int, rho: np.ndarray, states: list
 
 
 def _leaves(rho: np.ndarray, members: np.ndarray, gid: np.ndarray, entries: list):
-    """The paths of a chunk at the last step, after one batched density check."""
-    defect = rho - rho.conj().transpose(0, 2, 1)
-    herm = np.einsum("gab,gab->g", defect.conj(), defect).real.tolist()
-    drift = (rho.trace(axis1=1, axis2=2).real - 1.0).tolist()
+    """The paths of a chunk at the last step, after one batched density check
+    of its (G, d, d) states or (G, d) diagonals: the Hermiticity defect (on
+    diagonals, their imaginary parts) and the trace drift."""
+    diagonal = rho.ndim == 2
+    adjoints = rho.conj() if diagonal else rho.conj().transpose(0, 2, 1)
+    defect = (rho - adjoints).reshape(len(rho), -1)
+    herm = np.einsum("gx,gx->g", defect.conj(), defect).real.tolist()
+    drift = ((rho.sum(axis=1) if diagonal else rho.trace(axis1=1, axis2=2)).real - 1.0).tolist()
     for h, e in zip(herm, drift):
         h, e = math.sqrt(h), abs(e)
         if not (h <= 1e-8 and e <= 1e-8):

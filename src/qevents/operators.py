@@ -6,9 +6,11 @@ builds on, exact up to the module tolerances.
 
 Diagonal operators need not be dense.  A state or a partition of unity can
 be built from diagonals (1-D arrays), is validated on them, and keeps them;
-its d x d matrices are materialized only when a dense consumer (detection,
-the trajectory sampler, conjugation) first reads them.  So a commuting model
-costs O(d) memory per operator, which is what lets the commuting
+its d x d matrices are materialized only when a dense consumer (conjugation,
+detection under an ambient with another frame) first reads them, as
+detection, the Born weights and the trajectory sampler work on the
+diagonals when a state and its partitions all have them.  So a commuting
+model costs O(d) memory per operator, which is what lets the commuting
 constructions reach a few thousand dimensions.
 """
 
@@ -329,9 +331,11 @@ def spectral_decompose(X: np.ndarray,
 
 def _expectations(rho: np.ndarray, stack: np.ndarray, tol: float | None = None) -> np.ndarray:
     """tr(rho A_n) for each A_n of an (n, d, d) stack in O(n d^2), the one spelling
-    of a state's values, the Born weights among them.  With ``tol``, their real
-    parts, each imaginary part checked within tol * max(1, |real part|)."""
-    v = np.einsum("ab,nba->n", rho, stack)
+    of a state's values, the Born weights among them.  A 1-D ``rho`` is the
+    diagonal of a diagonal state and ``stack`` then holds (n, d) diagonals:
+    O(n d), the same sums as on the matrices.  With ``tol``, their real parts,
+    each imaginary part checked within tol * max(1, |real part|)."""
+    v = np.einsum("a,na->n", rho, stack) if rho.ndim == 1 else np.einsum("ab,nba->n", rho, stack)
     if tol is None:
         return v
     if (bad := np.abs(v.imag) > tol * np.maximum(1.0, np.abs(v.real))).any():
@@ -350,7 +354,11 @@ class DensityState:
 
     ``matrix`` may be a d x d matrix or a 1-D array, the diagonal of a
     diagonal state (see ``_operand``).  A diagonal state is validated on its
-    diagonal: its eigenvalues are the diagonal entries themselves.
+    diagonal: its eigenvalues are the diagonal entries themselves.  Detection,
+    the Born weights and the trajectory sampler read ``diagonal`` where the
+    state and the partitions have one, so a state built from its diagonal
+    reaches a d x d ``matrix`` only through a dense consumer; the sampler's
+    final states on that path are built from diagonals too.
 
     Two views are cached on the instance with ``functools.cached_property``:
     ``diagonal``, the diagonal of a diagonal state and None otherwise, which

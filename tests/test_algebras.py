@@ -40,6 +40,21 @@ class TestConstructors:
         ok, _ = contains(M, random_hermitian(gen, 2) + 1j * random_hermitian(gen, 2))
         assert ok
 
+    def test_diagonal_runs_mark_blocks_of_the_standard_basis(self):
+        # V = 1 exactly and every n_i = 1: the blocks are runs of indices
+        starts, block = diagonal_algebra(3)._diagonal_runs
+        assert starts.tolist() == block.tolist() == [0, 1, 2]
+        starts, block = FiniteAlgebra(6, np.eye(6), ((1, 2), (1, 1), (1, 3)))._diagonal_runs
+        assert starts.tolist() == [0, 2, 3] and block.tolist() == [0, 0, 1, 2, 2, 2]
+        assert full_matrix_algebra(3)._diagonal_runs is None
+        # a frame other than 1, a matrix block, a zero block
+        swap = np.eye(3, dtype=complex)[[1, 0, 2]]
+        assert FiniteAlgebra(3, swap, ((1, 1),) * 3)._diagonal_runs is None
+        assert FiniteAlgebra(3, np.eye(3), ((2, 1), (1, 1)))._diagonal_runs is None
+        assert FiniteAlgebra(3, np.eye(3), ((1, 1),) * 2)._diagonal_runs is None
+        phases = np.diag(np.exp(1j * np.array([0.0, 1e-9, 0.0])))
+        assert FiniteAlgebra(3, phases, ((1, 1),) * 3)._diagonal_runs is None
+
     def test_from_span_rejects_sets_not_closed_under_multiplication(self):
         # span{I, E12} is closed under * but not under adjoint
         with pytest.raises(InvariantViolation):

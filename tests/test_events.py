@@ -1,4 +1,6 @@
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 import tracemalloc
 from unittest import mock
 
@@ -7,15 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qevents import (DensityState, FiniteAlgebra, HeisenbergFrame,
+from qevents import (DeFinettiModel, DensityState, FiniteAlgebra, HeisenbergFrame,
                      InadmissibleThresholdError, InvariantViolation,
                      PartitionOfUnity, admissible_threshold, born_probabilities,
-                     centralizer, collapse, contains, detect_event, diagonal_algebra,
-                     earliest_event, expect_onto_center, full_matrix_algebra, operator_norm,
-                     run_trajectory, sample_trajectories, substream, unrecorded_update)
+                     centralizer, collapse, commuting_realization, contains, detect_event,
+                     diagonal_algebra, earliest_event, expect_onto_center,
+                     full_matrix_algebra, operator_norm, run_trajectory, sample_trajectories,
+                     substream, unrecorded_update)
 import qevents.centralizers
 import qevents.events
 from qevents.events import _sample_paths
+from qevents.seeding import _stream_uniforms
 
 from _helpers import (in_tensor_block, outcome, random_density, random_partition,
                       random_unitary, reference_centralizer, reference_detect,
@@ -203,6 +207,14 @@ class TestDetectEvent:
         assert not v_f.happened
         assert v_f.distance == pytest.approx(17.0 / 30.0, rel=1e-9)
         assert v_r.gap == v_f.gap == pytest.approx(0.4)
+
+    def test_a_partition_of_another_dimension_is_rejected(self):
+        # full access reads no projection of the partition, yet checks its size
+        other = PartitionOfUnity(("a", "b"), (np.array([1.0, 0.0, 0.0]),
+                                              np.array([0.0, 1.0, 1.0])))
+        for state in (RHO_37, PLUS):
+            with pytest.raises(ValueError, match="dimension mismatch: expected 2, got 3"):
+                detect_event(single_time_frame(), state, 1.0, other)
 
     def test_unknown_time_rejected(self):
         with pytest.raises(ValueError, match="not in the frame"):
@@ -441,7 +453,7 @@ class TestBatchedSampler:
                                    require_detection=detection))
 
 
-def _mixed_frame(p):
+def _mixed_frame(p, rotation=None):
     """A d = 4 diagonal frame whose groups fire and skip side by side, with
     candidates of 3 and 2 outcomes winning for different groups at one time.
 
@@ -449,18 +461,25 @@ def _mixed_frame(p):
     splits off the pure state e3; at t = 2 the pure group ties two weights
     of {0 | 1, 2 | 3} (inadmissible, skipped) while the other fires; at
     t = 3 the group on {1, 2} takes the 3-outcome {0 | 1 | 2, 3}, listed
-    first, while e0 and e3 can only take the 2-outcome {0, 1 | 2, 3}.
+    first, while e0 and e3 can only take the 2-outcome {0, 1 | 2, 3}.  A
+    unitary ``rotation`` W conjugates the state, the projections and the
+    ambient's frame by W: the same events, with nothing diagonal.
     """
+    def rotated(diagonal):
+        return diagonal if rotation is None else rotation @ np.diag(diagonal) @ rotation.conj().T
+
     def part(labels, *blocks):
-        return PartitionOfUnity(labels, tuple(np.isin(np.arange(4), b).astype(float)
+        return PartitionOfUnity(labels, tuple(rotated(np.isin(np.arange(4), b).astype(float))
                                               for b in blocks))
 
     partitions = ((part(("a0", "a1"), (0, 1, 2), (3,)),),
                   (part(("b0", "b1", "b2"), (0,), (1, 2), (3,)),),
                   (part(("x", "y", "z"), (0,), (1,), (2, 3)),
                    part(("c0", "c1"), (0, 1), (2, 3))))
-    frame = HeisenbergFrame((1.0, 2.0, 3.0), None, partitions, (diagonal_algebra(4),) * 3)
-    return frame, DensityState(np.diag(p).astype(complex))
+    ambient = (diagonal_algebra(4) if rotation is None
+               else FiniteAlgebra(4, rotation, ((1, 1),) * 4))
+    frame = HeisenbergFrame((1.0, 2.0, 3.0), None, partitions, (ambient,) * 3)
+    return frame, DensityState(np.diag(p).astype(complex) if rotation is None else rotated(p))
 
 
 def _assert_same_paths(paths, refs):
@@ -935,7 +954,8 @@ class TestReportOnTheState:
         assert [X.shape for X in calls] == [(3, 1, 1)]
 
     def test_a_group_carried_beside_firing_groups_keeps_its_report(self, monkeypatch):
-        frame, state = _mixed_frame([0.1, 0.2, 0.3, 0.4])
+        # rotated, so that detection takes the dense path, which forms reports
+        frame, state = _mixed_frame([0.1, 0.2, 0.3, 0.4], random_unitary(rng(152), 4))
         uniforms = rng(151).random((400, 3))
         calls = _spy_eigh(monkeypatch)
         paths = list(_sample_paths(frame, state, 400, lambda m, j: uniforms[m, j]))
@@ -1071,3 +1091,262 @@ class TestFactorDetectionScale:
         ref = reference_detect(state, part, 1.0, ambient, centralizer(ambient, state))
         assert len(centralizer(ambient, state).state_spectral.eigenvalues) == 128
         _assert_same_verdict(v, ref)
+
+
+def _diagonal_instance(gen, dim, outcomes, steps, access, candidates, state_kind):
+    """A frame of diagonal partitions moved by monomial steps, and a diagonal state.
+
+    ``access`` is "full" (None), "explicit" (``full_matrix_algebra``),
+    "diagonal", "chain" (full access, then diagonal), "runs" (V = 1 and
+    blocks (1, m_i), the candidates constant on each block) or "permuted"
+    (the diagonal algebra in a permuted frame, which detection reads on the
+    dense path while the sampler carries diagonals).  A step is a
+    permutation with random phases, which leaves 1 +- ulp and tiny imaginary
+    parts on the conjugated diagonals; under "runs" it is the phases alone,
+    so that every candidate stays in the blocks.  ``state_kind`` is
+    "generic", "ties" (exactly repeated entries), "zeros", "near" (two
+    entries 3e-9 apart, one chained cluster) or "aligned" (constant on the
+    first candidate's outcomes, so that events fire).
+    """
+    if access == "runs":
+        cuts = np.sort(gen.choice(np.arange(1, dim), size=gen.integers(0, dim), replace=False))
+        sizes = np.diff(np.concatenate(([0], cuts, [dim])))
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+    else:
+        owner = np.arange(dim)
+    outcomes = min(outcomes, owner.max() + 1)
+    parts = []
+    for _ in range(candidates):
+        labels = gen.permutation(np.arange(owner.max() + 1) % outcomes)[owner]
+        parts.append(PartitionOfUnity(tuple(range(outcomes)), tuple(
+            (labels == o).astype(float) for o in range(outcomes))))
+    step = np.zeros((dim, dim), dtype=complex)
+    order = np.arange(dim) if access == "runs" else gen.permutation(dim)
+    step[order, np.arange(dim)] = np.exp(2j * np.pi * gen.random(dim))
+    restrictions = {"full": None, "explicit": full_matrix_algebra(dim),
+                    "diagonal": diagonal_algebra(dim),
+                    "permuted": FiniteAlgebra(dim, np.eye(dim)[gen.permutation(dim)],
+                                              ((1, 1),) * dim),
+                    "chain": [None] + [diagonal_algebra(dim)] * (steps - 1),
+                    "runs": FiniteAlgebra(dim, np.eye(dim, dtype=complex),
+                                          tuple((1, int(m)) for m in np.diff(
+                                              np.flatnonzero(np.diff(owner, prepend=-1, append=-1))
+                                          )))}[access]
+    frame = HeisenbergFrame.build(tuple(float(k + 1) for k in range(steps)), parts,
+                                  step_propagator=step, restrictions=restrictions)
+    if state_kind == "aligned":
+        first = parts[0].diagonals.real
+        w = first.T @ (gen.dirichlet(np.ones(outcomes)) / first.sum(axis=1))
+    elif state_kind == "ties":
+        w = gen.dirichlet(np.ones(max(1, dim // 2)))[gen.integers(0, max(1, dim // 2), dim)]
+    else:
+        w = gen.dirichlet(np.ones(dim))
+        if state_kind == "zeros":
+            w[gen.permutation(dim)[:dim // 2]] = 0.0
+        if state_kind == "near":
+            w[1] = w[0] + 3e-9
+    w = w / w.sum()
+    return frame, DensityState(w.astype(complex) if gen.random() < 0.5 else np.diag(w))
+
+
+def _as_path(result):
+    """A trajectory as a one-sample path, for the path comparisons."""
+    return SimpleNamespace(members=np.arange(1), history=result.history,
+                           branch_log=result.branch_log, state=result.final_state.matrix)
+
+
+def _dense_verdicts(frame, k, state):
+    """The dense path's verdicts: ``_detect`` on the state's centralizer report."""
+    report = centralizer(qevents.events._ambient(frame, k), state)
+    R = qevents.centralizers._state_in_frame(report, state)
+    return [qevents.events._detect(frame, k, state, p, report, R, 0.5)
+            for p in frame.partitions[k]]
+
+
+def _summed_in_order(frame, k, state):
+    """Whether detection at step k sums each atom of the state in the dense
+    path's order, from left to right: on the dense path itself, or on atoms
+    of at most 7 entries (where ``np.add.reduceat`` sums sequentially), each
+    a run of indices under a diagonal ambient, or without exact ties under
+    full access (where eigh leaves a tie in LAPACK's order, the stable sort
+    in index order)."""
+    atoms = qevents.events._diagonal_atoms(frame, k, state)
+    if atoms is None:
+        return True
+    order, starts, _ = atoms
+    lam = state.diagonal.real
+    return (np.diff(starts, append=state.dim).max() <= 7
+            and (order is None or len(np.unique(lam)) == len(lam)))
+
+
+def _assert_same_paths_up_to_distances(paths, refs):
+    """``_assert_same_paths``, with the recorded distances within 1e-15."""
+    assert len(paths) == len(refs)
+    for path, ref in zip(paths, refs):
+        assert path.members.tolist() == ref.members.tolist()
+        assert path.history == ref.history
+        assert path.state.tobytes() == ref.state.tobytes()
+        for b, want in zip(path.branch_log, ref.branch_log, strict=True):
+            assert replace(b, distance=None) == replace(want, distance=None)
+            assert (b.distance is None) == (want.distance is None)
+            assert b.distance is None or abs(b.distance - want.distance) <= 1e-15
+
+
+class TestDiagonalPath:
+    """Detection and the sampler on diagonals against the dense path and its oracles."""
+
+    ACCESS = ["full", "explicit", "diagonal", "chain", "runs", "permuted"]
+    STATES = ["generic", "ties", "zeros", "near", "aligned"]
+    POLICIES = {"always": "always", "never": "never", "from2": lambda t: t >= 2.0}
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(dim=st.integers(2, 7), outcomes=st.integers(2, 3), steps=st.integers(1, 4),
+           access=st.sampled_from(ACCESS), state_kind=st.sampled_from(STATES),
+           two_candidates=st.booleans(), detection=st.booleans(),
+           policy=st.sampled_from(["always", "never", "from2"]), samples=st.integers(1, 30),
+           seed=st.integers(0, 2**32 - 1))
+    def test_atoms_of_at_most_7_entries_match_bit_for_bit(self, dim, outcomes, steps, access,
+                                                          state_kind, two_candidates,
+                                                          detection, policy, samples, seed):
+        gen = rng(seed)
+        candidates = 2 if detection and two_candidates else 1
+        frame, state = _diagonal_instance(gen, dim, outcomes, steps, access, candidates,
+                                          state_kind)
+        kw = dict(record_policy=self.POLICIES[policy], require_detection=detection)
+        uniforms = gen.random((samples, steps))
+        paths = list(_sample_paths(frame, state, samples, lambda m, j: uniforms[m, j], **kw))
+        res = run_trajectory(frame, state, rng_seed=seed % 1000, **kw)
+        rows = earliest_event(frame, state).verdicts
+        if access != "permuted":
+            assert not state._reports and "full_ambient" not in vars(frame)
+
+        refs = list(reference_sample_paths(frame, state, samples, lambda m, j: uniforms[m, j],
+                                           **kw))
+        ref = reference_trajectory(frame, state, rng_seed=seed % 1000, **kw)
+        if access in ("diagonal", "runs", "permuted"):
+            _assert_same_paths(paths, refs)
+            assert res.history == ref.history and res.branch_log == ref.branch_log
+        else:   # a state reached under full access may tie, see _summed_in_order
+            _assert_same_paths_up_to_distances(paths, refs)
+            _assert_same_paths_up_to_distances([_as_path(res)], [_as_path(ref)])
+        assert res.final_state.matrix.tobytes() == ref.final_state.matrix.tobytes()
+        for k, row in enumerate(rows):
+            ambient = qevents.events._ambient(frame, k)
+            report = centralizer(ambient, state)
+            exact = _summed_in_order(frame, k, state)
+            for v, want in zip(row, _dense_verdicts(frame, k, state)):
+                assert v.weights == want.weights
+                if exact:
+                    _same_verdict_exactly(v, want)
+                _assert_same_verdict(v, reference_detect(state, v.partition, frame.times[k],
+                                                         ambient, report))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(dim=st.integers(8, 24), outcomes=st.integers(2, 3), access=st.sampled_from(ACCESS),
+           state_kind=st.sampled_from(STATES), seed=st.integers(0, 2**32 - 1))
+    def test_larger_atoms_agree_within_1e_15(self, dim, outcomes, access, state_kind, seed):
+        # an atom of 8 or more entries is summed by np.add.reduceat in an
+        # order of its own, and under full access exact ties may sit in
+        # eigh's order, not the stable sort's: the distance may move in its
+        # last bits
+        frame, state = _diagonal_instance(rng(seed), dim, outcomes, 3, access, 2, state_kind)
+        rows = earliest_event(frame, state).verdicts
+        for k, row in enumerate(rows):
+            exact = _summed_in_order(frame, k, state)
+            for v, want in zip(row, _dense_verdicts(frame, k, state)):
+                assert v.weights == want.weights and v.gap == want.gap
+                assert v.admissible == want.admissible
+                assert (v.distance == want.distance if exact
+                        else abs(v.distance - want.distance) <= 1e-15)
+                if not want.admissible or abs(want.distance - want.threshold) > 1e-12:
+                    assert v.happened == want.happened
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("detection", [True, False])
+    def test_commuting_realizations_give_the_dense_outcomes(self, n, detection):
+        model = DeFinettiModel(np.array([0.4, 0.6]), np.array([0.8, 0.3]))
+        frame, state = commuting_realization(model, n)
+        samples = 200
+        for seed in range(3):
+            block = _stream_uniforms(seed, samples, n)
+            paths = list(sample_trajectories(frame, state, samples, seed=seed,
+                                             require_detection=detection))
+            refs = list(reference_sample_paths(frame, state, samples,
+                                               lambda m, j: block[m, j],
+                                               require_detection=detection))
+            assert [p.outcomes for p in paths] == [tuple(r.outcome for r in ref.history)
+                                                   for ref in refs]
+            assert [p.members.tolist() for p in paths] == [r.members.tolist() for r in refs]
+            assert [b.fired for p in paths for b in p.branch_log] == \
+                [b.fired for r in refs for b in r.branch_log]
+        assert "matrix" in vars(state)      # read by the dense oracle alone
+
+    def test_a_diagonal_run_forms_no_report_and_no_matrix(self, monkeypatch):
+        calls = _spy_eigh(monkeypatch)
+        frame, _ = _mixed_frame([0.1, 0.2, 0.3, 0.4])
+        state = DensityState(np.array([0.1, 0.2, 0.3, 0.4]))
+        paths = list(_sample_paths(frame, state, 400, lambda m, j: rng(151).random(m.size)))
+        assert len(paths) > 3 and not calls and not state._reports
+        assert "matrix" not in vars(state)
+        assert all("state" not in vars(p) for p in paths)
+        assert paths[0].final.shape == (4,) and paths[0].state.shape == (4, 4)
+        result = run_trajectory(frame, state, rng_seed=2)
+        assert "matrix" not in vars(result.final_state) and not calls
+
+    def test_the_final_state_is_validated_on_its_diagonal(self, monkeypatch):
+        # the leaf check reads Hermiticity and trace only; positivity is
+        # checked when the final state is built
+        frame = HeisenbergFrame((1.0,), None, ((PART,),), (None,))
+        broken = DensityState(np.array([1.2, -0.2], dtype=complex), validate=False)
+        with pytest.raises(InvariantViolation, match="negative weight"):
+            run_trajectory(frame, broken, record_policy="never", require_detection=False)
+
+    def test_born_weights_at_dimension_1024_hold_no_matrix(self):
+        model = DeFinettiModel(np.array([0.3, 0.7]), np.array([0.45, 0.9]))
+        frame, state = commuting_realization(model, 9)
+        partition = frame.partitions[0][0]
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            probs = born_probabilities(state, partition)
+            threshold = admissible_threshold(state, partition)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert state.dim == 1024 and sum(p for _, p in probs) == pytest.approx(1.0)
+        assert threshold > 0.0
+        assert held < 2 ** 20, f"born_probabilities holds {held / 2**20:.1f} MB"
+        assert "matrix" not in vars(state) and "stack" not in vars(partition)
+
+    def test_full_access_at_dimension_4096_builds_no_identity(self):
+        model = DeFinettiModel(np.array([0.3, 0.7]), np.array([0.45, 0.9]))
+        frame, state = commuting_realization(model, 11)
+        v = detect_event(frame, state, frame.times[0], frame.partitions[0][0])
+        result = run_trajectory(frame, state, require_detection=False)
+        assert state.dim == 4096 and v.admissible and 0.0 < v.distance <= 1.0
+        assert len(result.history) == 11
+        assert "full_ambient" not in vars(frame) and "propagators" not in vars(frame)
+        assert "matrix" not in vars(state) and "matrix" not in vars(result.final_state)
+        assert all("projections" not in vars(c[0]) for c in frame.partitions)
+
+    def test_sampler_vs_measure_at_dimension_4096(self):
+        script = (
+            "import time\n"
+            "import numpy as np\n"
+            "from qevents import DeFinettiModel, commuting_realization, sampler_vs_measure\n"
+            "model = DeFinettiModel(np.array([0.4, 0.6]), np.array([0.8, 0.3]))\n"
+            "frame, state = commuting_realization(model, 11)\n"
+            "start = time.perf_counter()\n"
+            "tv = sampler_vs_measure(frame, state, 11, 10_000)\n"
+            "elapsed = time.perf_counter() - start\n"
+            "hwm = next(l for l in open('/proc/self/status') if l.startswith('VmHWM'))\n"
+            "print(state.dim, tv, elapsed, int(hwm.split()[1]) * 1024)\n"
+        )
+        proc = run_capped(script, timeout=30)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        dim, tv, elapsed, hwm = proc.stdout.split()
+        assert dim == "4096" and 0.0 < float(tv) < 1.0
+        assert int(hwm) < 400 * 2 ** 20, f"VmHWM {int(hwm) / 2**20:.0f} MB"

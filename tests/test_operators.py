@@ -7,7 +7,8 @@ from qevents import (DEFAULT_TOL, DensityState, HeisenbergFrame, InvariantViolat
                      PartitionOfUnity, SpectralDecomposition, adjoint, antihermitian_defect, conjugate,
                      is_hermitian, is_projection, is_unitary, operator_norm,
                      spectral_decompose)
-from qevents.operators import _checked_norm, _unitarity_defect, validate_projection_family
+from qevents.operators import (_checked_norm, _expectations, _unitarity_defect,
+                               validate_projection_family)
 
 from _helpers import (outcome, random_blocks, random_density, random_hermitian,
                       random_unitary, reference_unitarity_defect,
@@ -195,6 +196,24 @@ class TestDensityState:
                 with pytest.raises(ValueError, match="read-only"):
                     view[0] = 0.5
         assert diag.flags.writeable and M.flags.writeable
+
+
+class TestExpectations:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(dim=st.integers(1, 129), count=st.integers(1, 4), phases=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_diagonals_give_the_sums_of_the_matrices_bit_for_bit(self, dim, count, phases,
+                                                               seed):
+        # 0/1 diagonals, conjugated by phases as monomial steps leave them:
+        # 1 +- ulp and tiny imaginary parts
+        gen = rng(seed)
+        lam = gen.dirichlet(np.ones(dim)) * (1.0 + 1e-17j * gen.standard_normal(dim))
+        p = (gen.random((count, dim)) < 0.5).astype(complex)
+        if phases:
+            u = np.exp(2j * np.pi * gen.random(dim))
+            p = np.stack([np.diagonal(np.diag(u).conj() @ np.diag(q) @ np.diag(u)) for q in p])
+        dense = _expectations(np.diag(lam), np.stack([np.diag(q) for q in p]))
+        assert _expectations(lam, p).tobytes() == dense.tobytes()
 
 
 class TestPartitionOfUnity:
