@@ -7,9 +7,9 @@ builds on, exact up to the module tolerances.
 Diagonal operators need not be dense.  A state or a partition of unity can
 be built from diagonals (1-D arrays), is validated on them, and keeps them;
 its d x d matrices are materialized only when a dense consumer (conjugation,
-detection under an ambient with another frame) first reads them, as
-detection, the Born weights and the trajectory sampler work on the
-diagonals when a state and its partitions all have them.  So a commuting
+a restriction check, detection under an ambient with another frame) first
+reads them, as detection, the Born weights and the trajectory sampler work
+on the diagonals when a state and its partitions all have them.  So a commuting
 model costs O(d) memory per operator, which is what lets the commuting
 constructions reach a few thousand dimensions.
 """

@@ -1108,30 +1108,27 @@ def _diagonal_instance(gen, dim, outcomes, steps, access, candidates, state_kind
     entries 3e-9 apart, one chained cluster) or "aligned" (constant on the
     first candidate's outcomes, so that events fire).
     """
+    sizes = np.ones(dim, dtype=int)
     if access == "runs":
         cuts = np.sort(gen.choice(np.arange(1, dim), size=gen.integers(0, dim), replace=False))
         sizes = np.diff(np.concatenate(([0], cuts, [dim])))
-        owner = np.repeat(np.arange(len(sizes)), sizes)
-    else:
-        owner = np.arange(dim)
-    outcomes = min(outcomes, owner.max() + 1)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    outcomes = min(outcomes, len(sizes))
     parts = []
     for _ in range(candidates):
-        labels = gen.permutation(np.arange(owner.max() + 1) % outcomes)[owner]
+        labels = gen.permutation(np.arange(len(sizes)) % outcomes)[owner]
         parts.append(PartitionOfUnity(tuple(range(outcomes)), tuple(
             (labels == o).astype(float) for o in range(outcomes))))
     step = np.zeros((dim, dim), dtype=complex)
     order = np.arange(dim) if access == "runs" else gen.permutation(dim)
     step[order, np.arange(dim)] = np.exp(2j * np.pi * gen.random(dim))
-    restrictions = {"full": None, "explicit": full_matrix_algebra(dim),
-                    "diagonal": diagonal_algebra(dim),
-                    "permuted": FiniteAlgebra(dim, np.eye(dim)[gen.permutation(dim)],
-                                              ((1, 1),) * dim),
-                    "chain": [None] + [diagonal_algebra(dim)] * (steps - 1),
-                    "runs": FiniteAlgebra(dim, np.eye(dim, dtype=complex),
-                                          tuple((1, int(m)) for m in np.diff(
-                                              np.flatnonzero(np.diff(owner, prepend=-1, append=-1))
-                                          )))}[access]
+    if access in ("full", "explicit"):
+        restrictions = None if access == "full" else full_matrix_algebra(dim)
+    elif access == "chain":
+        restrictions = [None] + [diagonal_algebra(dim)] * (steps - 1)
+    else:
+        unitary = np.eye(dim)[gen.permutation(dim)] if access == "permuted" else np.eye(dim)
+        restrictions = FiniteAlgebra(dim, unitary, tuple((1, int(m)) for m in sizes))
     frame = HeisenbergFrame.build(tuple(float(k + 1) for k in range(steps)), parts,
                                   step_propagator=step, restrictions=restrictions)
     if state_kind == "aligned":
@@ -1205,9 +1202,9 @@ class TestDiagonalPath:
            two_candidates=st.booleans(), detection=st.booleans(),
            policy=st.sampled_from(["always", "never", "from2"]), samples=st.integers(1, 30),
            seed=st.integers(0, 2**32 - 1))
-    def test_atoms_of_at_most_7_entries_match_bit_for_bit(self, dim, outcomes, steps, access,
-                                                          state_kind, two_candidates,
-                                                          detection, policy, samples, seed):
+    def test_matches_the_dense_path_and_its_oracles(self, dim, outcomes, steps, access,
+                                                     state_kind, two_candidates, detection,
+                                                     policy, samples, seed):
         gen = rng(seed)
         candidates = 2 if detection and two_candidates else 1
         frame, state = _diagonal_instance(gen, dim, outcomes, steps, access, candidates,
